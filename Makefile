@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-json bench-par bench-compare bench-smoke no-string-keys daemon-smoke obs-smoke cluster-smoke durable-smoke chaos check clean
+.PHONY: build test race vet bench bench-json bench-par bench-compare bench-smoke no-string-keys daemon-smoke obs-smoke durable-smoke perfbench-build chaos check clean
 
 build:
 	$(GO) build ./...
@@ -9,7 +9,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/obs/... ./internal/sched/... ./internal/psioa/... ./internal/engine/... ./internal/cluster/... ./cmd/dsed/...
+	$(GO) test -race ./internal/obs/... ./internal/sched/... ./internal/psioa/... ./internal/engine/... ./cmd/dsed/...
 
 vet:
 	$(GO) vet ./...
@@ -64,32 +64,32 @@ daemon-smoke:
 obs-smoke:
 	sh scripts/obs_smoke.sh
 
-# cluster-smoke starts a 1-coordinator + 2-worker dsed cluster on scratch
-# ports and runs a two-environment check through the coordinator twice: the
-# answers must be byte-identical and the second pass served from the
-# workers' content-addressed stores. See docs/CLUSTER.md.
-cluster-smoke:
-	sh scripts/cluster_smoke.sh
-
 # durable-smoke SIGKILLs a dsed with a durable store directory mid-queue
 # and restarts it: zero lost jobs, at least one result served from disk
-# instead of recomputed. See docs/DURABILITY.md.
+# instead of recomputed, and a second dsed on the locked directory refused.
+# See docs/DURABILITY.md.
 durable-smoke:
 	sh scripts/durable_smoke.sh
+
+# perfbench-build vets the benchmark, a separate Go module (perfbench/)
+# that root `go build ./...` never sees, so a change to the engine,
+# durable or obs APIs it imports cannot silently break it. Offline.
+perfbench-build:
+	cd perfbench && GOWORK=off GOTOOLCHAIN=local GOPROXY=off $(GO) vet .
 
 # chaos runs the fault-injected suite under the race detector: worker
 # panics, transient job faults, cache eviction, slow operations and queue
 # saturation, through both the engine and the daemon's HTTP surface. See
 # docs/ROBUSTNESS.md for the fault-point catalogue.
 chaos:
-	$(GO) test -race -run Chaos ./internal/engine/... ./internal/sched/... ./internal/cluster/... ./cmd/dsed/...
+	$(GO) test -race -run Chaos ./internal/engine/... ./internal/sched/... ./cmd/dsed/...
 	$(GO) test -race ./internal/resilience/...
 
 # check is the tier-1 gate plus static analysis, the race-sensitive
 # packages, the chaos suite, the bench tooling smoke, the parallel-kernel
-# smoke, the baseline comparison, and the daemon, cluster, and durability
-# end-to-end smokes; run before every commit.
-check: build vet no-string-keys test race chaos bench-smoke bench-par bench-compare daemon-smoke obs-smoke cluster-smoke durable-smoke
+# smoke, the baseline comparison, the daemon and durability end-to-end
+# smokes, and the benchmark module's build; run before every commit.
+check: build vet no-string-keys test race chaos bench-smoke bench-par bench-compare daemon-smoke obs-smoke durable-smoke perfbench-build
 
 clean:
 	$(GO) clean ./...

@@ -20,9 +20,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/resilience"
@@ -47,7 +45,6 @@ func main() {
 	q2 := flag.Int("q2", 0, "right scheduler bound (default q1)")
 	workers := flag.Int("workers", 0, "worker pool size for jobs and the parallel measure kernels (0 = GOMAXPROCS, 1 = sequential)")
 	cacheSize := flag.Int("cache", engine.DefaultCacheSize, "memoization cache entries (0 = default)")
-	clusterURL := flag.String("cluster", "", "run the check on a dsed cluster: URL of the coordinator (or a single worker)")
 	verbose := flag.Bool("v", false, "print every (environment, scheduler) pair")
 	explain := flag.Bool("explain", false, "print the per-job run report (work counters, shard balance, cache hit ratio, phase walls)")
 	timeout := flag.Duration("timeout", 0, "abort after this wall-clock time (0 = no limit)")
@@ -99,19 +96,8 @@ func main() {
 	if *timeout > 0 {
 		job.TimeoutMS = timeout.Milliseconds()
 	}
-	var res *engine.Result
-	if *clusterURL != "" {
-		// Remote mode: ship the job to a dsed coordinator (or plain
-		// worker) instead of computing locally. The report it returns is
-		// byte-identical to the local run (docs/CLUSTER.md).
-		backend := cluster.NewRemoteBackend(*clusterURL, *clusterURL, resilience.Backoff{
-			Attempts: 3, Base: 25 * time.Millisecond, Cap: 2 * time.Second, Jitter: 0.2, Seed: 1,
-		})
-		res, err = backend.Run(ctx, job)
-	} else {
-		r := engine.NewRunner(engine.NewPool(*workers), engine.NewCache(*cacheSize))
-		res, err = r.Run(ctx, job)
-	}
+	r := engine.NewRunner(engine.NewPool(*workers), engine.NewCache(*cacheSize))
+	res, err := r.Run(ctx, job)
 	fatal(err)
 	rep := res.Check
 	if rep == nil {

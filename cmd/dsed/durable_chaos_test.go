@@ -21,11 +21,11 @@ import (
 // directory, mirroring main()'s wiring: journal sink on the job store, disk
 // store behind the cache's raw namespace, journal replay before serving.
 type durableDaemon struct {
-	ts    *httptest.Server
-	dm    *durable.Manager
-	store *engine.Store
-	stats durable.ReplayStats
-	kill  context.CancelFunc
+	ts     *httptest.Server
+	dm     *durable.Manager
+	store  *engine.Store
+	stats  durable.ReplayStats
+	cancel context.CancelFunc
 }
 
 func startDurableDaemon(t *testing.T, dir string) *durableDaemon {
@@ -41,7 +41,6 @@ func startDurableDaemon(t *testing.T, dir string) *durableDaemon {
 	dm := durable.NewManager(jr, ds)
 	st := engine.NewStoreWith(engine.StoreConfig{Journal: dm})
 	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
 	s := &server{
 		// One worker slot: submissions past the first provably sit queued
 		// when the kill lands.
@@ -58,9 +57,29 @@ func startDurableDaemon(t *testing.T, dir string) *durableDaemon {
 		t.Fatalf("replay: %v", err)
 	}
 	dm.SetReplay(stats)
-	ts := httptest.NewServer(s.handler())
-	t.Cleanup(ts.Close)
-	return &durableDaemon{ts: ts, dm: dm, store: st, stats: stats, kill: cancel}
+	d := &durableDaemon{ts: httptest.NewServer(s.handler()), dm: dm, store: st, stats: stats, cancel: cancel}
+	// Registered after TempDir, so it runs before the directory is removed.
+	t.Cleanup(func() {
+		d.ts.Close()
+		d.kill(t)
+	})
+	return d
+}
+
+// kill emulates a SIGKILL of this incarnation: journal appends and store
+// publications stop, the store lock is released, and the jobs context is
+// cancelled. It returns only once every job goroutine has exited, so
+// nothing of this incarnation writes to the directory afterwards — not
+// while a test edits the entries, and not while TempDir removes them.
+func (d *durableDaemon) kill(t *testing.T) {
+	t.Helper()
+	d.dm.Kill()
+	d.cancel()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := d.store.Drain(ctx); err != nil {
+		t.Errorf("job goroutines still running after kill: %v", err)
+	}
 }
 
 func submitAsync(t *testing.T, d *durableDaemon, body string) string {
@@ -122,7 +141,7 @@ func TestChaosDurableKillRestart(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	waitForEntries(t, filepath.Join(dir, "store"), 1)
+	requireEntries(t, filepath.Join(dir, "store"), 1)
 
 	// Jobs 1-3 queue behind an injected 10s kernel delay on the single
 	// worker slot, so the SIGKILL provably catches them non-terminal. Each
@@ -137,13 +156,7 @@ func TestChaosDurableKillRestart(t *testing.T) {
 
 	// SIGKILL: nothing journals or publishes past this point; the process
 	// teardown (ctx cancel) reaps the delayed kernels.
-	d1.dm.Kill()
-	d1.kill()
-	drainCtx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer dcancel()
-	if err := d1.store.Drain(drainCtx); err != nil {
-		t.Fatal(err)
-	}
+	d1.kill(t)
 	restore()
 
 	// Restart over the same directory.
@@ -230,31 +243,23 @@ func slowBody(seed, bound int) string {
 	return fmt.Sprintf(`{"systems":["coin:fair:x","coin:env:x"],"bound":%d,"seed":%d}`, bound, seed)
 }
 
-// waitForEntries polls until the store directory holds n committed entries.
-// A job's HTTP status flips to done before its result is published (the
-// journal sink runs after the record update), so tests that act on the
-// on-disk state must wait on the entry files, not the job status.
-func waitForEntries(t *testing.T, dir string, n int) {
+// requireEntries checks that the store directory holds at least n
+// committed entries. Callers check right after a job reports done: the
+// result is published before the status flips, so no wait is needed.
+func requireEntries(t *testing.T, dir string, n int) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		des, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := 0
+	for _, de := range des {
+		if strings.HasPrefix(de.Name(), "e-") {
+			got++
 		}
-		got := 0
-		for _, de := range des {
-			if strings.HasPrefix(de.Name(), "e-") {
-				got++
-			}
-		}
-		if got >= n {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("store has %d committed entries, want %d", got, n)
-		}
-		time.Sleep(5 * time.Millisecond)
+	}
+	if got < n {
+		t.Fatalf("store has %d committed entries, want %d", got, n)
 	}
 }
 
@@ -305,8 +310,8 @@ func TestChaosDurableCorruptEntryAtBoot(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	waitForEntries(t, filepath.Join(dir, "store"), 1)
-	d1.kill()
+	requireEntries(t, filepath.Join(dir, "store"), 1)
+	d1.kill(t)
 
 	corruptAllEntries(t, filepath.Join(dir, "store"))
 

@@ -26,11 +26,9 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/durable"
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -50,8 +48,6 @@ func main() {
 	drain := flag.Duration("drain", 10*time.Second, "grace period for in-flight jobs on shutdown")
 	budgetStates := flag.Int64("budget-states", 0, "default per-job state budget (0 = unlimited)")
 	budgetTrans := flag.Int64("budget-transitions", 0, "default per-job transition budget (0 = unlimited)")
-	workerID := flag.String("worker-id", "", "stable node identity stamped on results (default: hostname + addr)")
-	coordinator := flag.String("coordinator", "", "comma-separated worker URLs; non-empty runs this daemon as a cluster coordinator (see docs/CLUSTER.md)")
 	storeDir := flag.String("store-dir", "", "directory for the durable content-addressed result store; empty keeps results in memory only (see docs/DURABILITY.md)")
 	journalPath := flag.String("journal", "", "write-ahead job journal path (default: <store-dir>/journal.jsonl when -store-dir is set; empty with no -store-dir disables journaling)")
 	storeMax := flag.Int("store-max", durable.DefaultMaxEntries, "durable store entry bound before LRU eviction")
@@ -59,14 +55,6 @@ func main() {
 	ocli.Register(flag.CommandLine)
 	flag.Parse()
 	fatal(ocli.Start())
-
-	if *workerID == "" {
-		host, _ := os.Hostname()
-		if host == "" {
-			host = "dsed"
-		}
-		*workerID = host + *addr
-	}
 
 	// Durability layer: a disk-backed content-addressed store under the
 	// cache's raw namespace, plus a write-ahead journal of async job
@@ -120,12 +108,10 @@ func main() {
 		ctx:     jobCtx,
 		started: time.Now(),
 	}
-	srv.runner.WorkerID = *workerID
 	if dm != nil && dm.Store() != nil {
 		// The disk store becomes the tier under the cache's raw namespace:
-		// memory misses fall through to it, raw puts write through, so the
-		// warm store survives restarts and cluster peers are served from
-		// disk after a worker bounce.
+		// memory misses fall through to it, so GET /v1/store/{key} serves
+		// every result published by a done job, across restarts.
 		srv.runner.Cache.SetRawBacking(dm.Store())
 	}
 	if dm != nil {
@@ -144,50 +130,12 @@ func main() {
 				stats.Records, stats.Jobs, stats.Restored, stats.Served, stats.Requeued)
 		}
 	}
-	if *coordinator != "" {
-		// Coordinator mode: jobs shard across the listed workers. Each
-		// backend is identified by its URL — stable across coordinator
-		// restarts, which keeps rendezvous placement stable too. The
-		// retry budget mirrors the async store's.
-		var backends []cluster.Backend
-		for _, raw := range strings.Split(*coordinator, ",") {
-			u := strings.TrimSpace(raw)
-			if u == "" {
-				continue
-			}
-			backends = append(backends, cluster.NewRemoteBackend(u, u, resilience.Backoff{
-				Attempts: *retries + 1,
-				Base:     25 * time.Millisecond,
-				Cap:      2 * time.Second,
-				Jitter:   0.2,
-				Seed:     1,
-			}))
-		}
-		coord, err := cluster.NewCoordinator(backends...)
-		fatal(err)
-		// Background revival re-probe: an idle coordinator (no job traffic
-		// to trigger the lazy revive) still notices a restarted worker. The
-		// cadence backs off while an outage persists and resets when a node
-		// rejoins.
-		coord.StartReprobe(jobCtx, resilience.Backoff{
-			Attempts: 1,
-			Base:     500 * time.Millisecond,
-			Cap:      15 * time.Second,
-			Jitter:   0.2,
-			Seed:     2,
-		})
-		srv.coord = coord
-	}
 	hs := &http.Server{Addr: *addr, Handler: srv.handler()}
 
 	errCh := make(chan error, 1)
 	go func() {
-		mode := ""
-		if srv.coord != nil {
-			mode = fmt.Sprintf(", coordinator over %d workers", len(srv.coord.Backends()))
-		}
-		fmt.Fprintf(os.Stderr, "dsed: listening on %s (worker-id=%s, workers=%d, cache=%d, queue=%d%s)\n",
-			*addr, *workerID, srv.runner.Pool.Workers(), *cacheSize, *queue, mode)
+		fmt.Fprintf(os.Stderr, "dsed: listening on %s (workers=%d, cache=%d, queue=%d)\n",
+			*addr, srv.runner.Pool.Workers(), *cacheSize, *queue)
 		errCh <- hs.ListenAndServe()
 	}()
 

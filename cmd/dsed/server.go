@@ -5,13 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"strconv"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/durable"
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -26,18 +24,11 @@ var (
 	cHTTPPanics   = obs.C("dsed.http.panics")
 )
 
-// maxStoreEntry bounds a PUT /v1/store/{key} body (16 MiB — far above any
-// real result payload, cheap insurance against a runaway peer).
-const maxStoreEntry = 16 << 20
-
 // server wires the engine's runner and job store to the HTTP API.
 type server struct {
 	runner  *engine.Runner
 	store   *engine.Store
 	timeout time.Duration
-	// coord, when non-nil, puts the daemon in coordinator mode: sync jobs
-	// are sharded across the cluster's workers instead of run locally.
-	coord *cluster.Coordinator
 	// durable, when non-nil, is the crash-safety layer (-store-dir /
 	// -journal): the disk store backing the cache's raw namespace and the
 	// write-ahead job journal (see docs/DURABILITY.md).
@@ -65,8 +56,8 @@ type budgetDefaults struct {
 //	POST /v1/describe   — profile systems (?async=1 to queue)
 //	GET  /v1/jobs       — list submitted jobs
 //	GET  /v1/jobs/{id}  — fetch one job record
-//	GET  /v1/store/{key} — fetch a content-addressed result (404 on miss)
-//	PUT  /v1/store/{key} — publish a content-addressed result (204)
+//	GET  /v1/store/{key} — fetch a content-addressed result (404 on miss;
+//	                      read-only: the store is written only by jobs)
 //	GET  /v1/metrics    — obs metrics snapshot (JSON; ?format=prom for
 //	                      Prometheus text exposition format 0.0.4)
 //	GET  /v1/debug      — live introspection: uptime, pool occupancy,
@@ -111,18 +102,6 @@ func (s *server) handler() http.Handler {
 		w.WriteHeader(http.StatusOK)
 		w.Write(data)
 	})
-	mux.HandleFunc("PUT /v1/store/{key}", func(w http.ResponseWriter, r *http.Request) {
-		cHTTPRequests.Inc()
-		// The store rides the bounded striped cache, so an oversized body
-		// only wastes transfer; cap it anyway to keep a bad peer cheap.
-		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxStoreEntry))
-		if err != nil {
-			httpError(w, http.StatusRequestEntityTooLarge, err)
-			return
-		}
-		s.runner.Cache.PutRaw(r.PathValue("key"), data)
-		w.WriteHeader(http.StatusNoContent)
-	})
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
 		cHTTPRequests.Inc()
 		if r.URL.Query().Get("format") == "prom" {
@@ -150,11 +129,8 @@ func (s *server) handler() http.Handler {
 // daemon's moving parts for operators diagnosing a stuck or overloaded
 // instance.
 type debugState struct {
-	// WorkerID is this node's stable identity (-worker-id flag, hostname
-	// derived by default), the id stamped on every result it computes.
-	WorkerID   string `json:"worker_id"`
-	UptimeMS   int64  `json:"uptime_ms"`
-	Goroutines int    `json:"goroutines"`
+	UptimeMS   int64 `json:"uptime_ms"`
+	Goroutines int   `json:"goroutines"`
 	// Pool occupancy: Busy of Workers tasks running right now.
 	Workers int `json:"workers"`
 	Busy    int `json:"busy"`
@@ -172,10 +148,6 @@ type debugState struct {
 	CacheShards []engine.CacheShardStat `json:"cache_shards"`
 	// SortMemo is the psioa canonical-sort memo.
 	SortMemo psioa.SortMemoStats `json:"sort_memo"`
-	// Cluster is the coordinator's per-worker account (coordinator mode
-	// only): each worker's liveness, traffic and store counters plus the
-	// dispatch/re-route/store-hit totals.
-	Cluster *cluster.CoordinatorStats `json:"cluster,omitempty"`
 	// Durable is the crash-safety layer's account (present only with
 	// -store-dir/-journal): disk store occupancy and hit/corrupt counters,
 	// journal path and append count, and the boot-time replay stats.
@@ -195,7 +167,6 @@ type debugJob struct {
 // cut — fine for introspection.
 func (s *server) debugInfo() debugState {
 	d := debugState{
-		WorkerID:    s.runner.WorkerID,
 		UptimeMS:    time.Since(s.started).Milliseconds(),
 		Goroutines:  runtime.NumGoroutine(),
 		Workers:     s.runner.Pool.Workers(),
@@ -225,10 +196,6 @@ func (s *server) debugInfo() debugState {
 	}
 	for _, sh := range d.CacheShards {
 		d.CacheLen += sh.Len
-	}
-	if s.coord != nil {
-		st := s.coord.Stats()
-		d.Cluster = &st
 	}
 	d.Durable = s.durable.Debug()
 	return d
@@ -287,26 +254,6 @@ func (s *server) jobHandler(kind string) http.HandlerFunc {
 		}
 		if job.BudgetWallMS <= 0 {
 			job.BudgetWallMS = s.budget.wallMS
-		}
-		if s.coord != nil {
-			// Coordinator mode: shard across the cluster. The async job
-			// store is a per-node facility; queueing belongs on the workers
-			// (their 503 sheds are the cluster's admission control).
-			if r.URL.Query().Get("async") == "1" {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("async jobs are not supported in coordinator mode"))
-				return
-			}
-			res, err := s.coord.Run(r.Context(), job)
-			if err != nil {
-				code := statusFor(err)
-				if errors.Is(err, cluster.ErrNoWorkers) {
-					code = http.StatusServiceUnavailable
-				}
-				httpError(w, code, err)
-				return
-			}
-			writeJSON(w, http.StatusOK, res)
-			return
 		}
 		if r.URL.Query().Get("async") == "1" {
 			// Detach from the request context: the job outlives the request

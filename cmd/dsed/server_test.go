@@ -184,3 +184,66 @@ func TestBadRequests(t *testing.T) {
 		t.Errorf("healthz: status %d", r.StatusCode)
 	}
 }
+
+// TestStoreEndpoints pins the result store's HTTP surface: as soon
+// as GET /v1/jobs/{id} reports done, GET /v1/store/{fingerprint} returns
+// the job's result with its run report stripped, byte for byte; and a PUT
+// is refused with 405 without changing anything in the store.
+func TestStoreEndpoints(t *testing.T) {
+	dir := t.TempDir()
+	d := startDurableDaemon(t, dir)
+	id := submitAsync(t, d, simulateBody(300))
+	var rec engine.JobRecord
+	deadline := time.Now().Add(30 * time.Second)
+	for rec.Status != engine.StatusDone {
+		if rec.Status == engine.StatusFailed {
+			t.Fatalf("job failed: %s", rec.Err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job stuck in %q", rec.Status)
+		}
+		_, body := getBody(t, d.ts.URL+"/v1/jobs/"+id)
+		rec = engine.JobRecord{}
+		if err := json.Unmarshal(body, &rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rec.Result == nil || rec.Fingerprint == "" {
+		t.Fatalf("done record without result or fingerprint: %+v", rec)
+	}
+	rec.Result.Report = nil
+	want, err := json.Marshal(rec.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	storeURL := d.ts.URL + "/v1/store/" + rec.Fingerprint
+	resp, got := getBody(t, storeURL)
+	if resp.StatusCode != http.StatusOK || string(got) != string(want) {
+		t.Fatalf("GET store right after done: status %d\n got %s\nwant %s", resp.StatusCode, got, want)
+	}
+
+	puts := d.dm.Store().Stats().Puts
+	for _, key := range []string{rec.Fingerprint, "forged-key"} {
+		req, err := http.NewRequest(http.MethodPut, d.ts.URL+"/v1/store/"+key, strings.NewReader(`{"kind":"forged"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("PUT /v1/store/%s: status %d, want 405", key, r.StatusCode)
+		}
+	}
+	if st := d.dm.Store().Stats(); st.Puts != puts || st.Entries != 1 {
+		t.Errorf("store changed by PUT: puts %d -> %d, entries %d", puts, st.Puts, st.Entries)
+	}
+	if resp, got := getBody(t, storeURL); resp.StatusCode != http.StatusOK || string(got) != string(want) {
+		t.Errorf("stored result changed by PUT: status %d: %s", resp.StatusCode, got)
+	}
+	if resp, _ := getBody(t, d.ts.URL+"/v1/store/forged-key"); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET forged key: status %d, want 404", resp.StatusCode)
+	}
+}

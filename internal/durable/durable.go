@@ -1,6 +1,6 @@
 // Package durable persists the engine's content-addressed results and the
-// daemon's job lifecycle across process crashes: a SIGKILL'd dsed (or a
-// cluster worker) restarts with its warm store intact and with every
+// daemon's job lifecycle across process crashes: a SIGKILL'd dsed
+// restarts with its warm store intact and with every
 // accepted-but-unfinished async job re-enqueued, so no admitted work is
 // ever lost and recovered results are byte-identical to fresh computation.
 //
@@ -14,7 +14,8 @@
 //     (moved aside, never served), and the caller recomputes. It layers
 //     under engine.Cache's raw namespace (Cache.SetRawBacking), so the
 //     memory tier stays the fast path and the disk tier is consulted only
-//     on memory misses and filled on every raw put.
+//     on memory misses. It is filled only by the Manager's publication of
+//     done jobs, and an exclusive lock keeps a second process out of it.
 //
 //   - Journal is a write-ahead job journal: append-only JSONL records of
 //     each async job's lifecycle (accepted → running → done/failed, with
@@ -34,18 +35,18 @@ package durable
 
 import "repro/internal/obs"
 
-// Observability instruments. cluster.store.disk_hits is the acceptance
+// Observability instruments. durable.store.disk_hits is the acceptance
 // signal that restarts are served from disk (`make durable-smoke`);
-// cluster.store.corrupt counts entries quarantined by validation;
-// cluster.store.recovered counts results restored to a terminal job record
+// durable.store.corrupt counts entries quarantined by validation;
+// durable.store.recovered counts results restored to a terminal job record
 // from the store during journal replay (including the idempotency guard's
 // served-not-recomputed path). The dsed.journal.* counters account the
 // write-ahead journal: records appended, records replayed at startup, and
 // jobs re-enqueued for recomputation.
 var (
-	cDiskHits       = obs.C("cluster.store.disk_hits")
-	cDiskCorrupt    = obs.C("cluster.store.corrupt")
-	cDiskRecovered  = obs.C("cluster.store.recovered")
+	cDiskHits       = obs.C("durable.store.disk_hits")
+	cDiskCorrupt    = obs.C("durable.store.corrupt")
+	cDiskRecovered  = obs.C("durable.store.recovered")
 	cJournalAppends = obs.C("dsed.journal.appended")
 	cJournalReplays = obs.C("dsed.journal.replayed")
 	cJournalRequeue = obs.C("dsed.journal.requeued")

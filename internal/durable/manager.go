@@ -50,13 +50,17 @@ func (m *Manager) Store() *DiskStore {
 }
 
 // Kill simulates a SIGKILL for crash tests: every subsequent journal append
-// and store publication is silently dropped, as if the process had died.
+// and store publication is silently dropped, as if the process had died,
+// and the store directory's lock is released, as the exit would release it.
 func (m *Manager) Kill() {
 	if m == nil {
 		return
 	}
 	m.killed.Store(true)
 	m.journal.Kill()
+	if m.store != nil {
+		m.store.Close()
+	}
 }
 
 // Accepted implements engine.JournalSink: the full job spec is journaled
@@ -116,10 +120,9 @@ func (m *Manager) Finished(rec *engine.JobRecord) {
 }
 
 // Publish writes a completed result into the disk store under its job
-// fingerprint, following the cluster's publication rules: run-report
-// telemetry is stripped (a per-run account, not content) and partial
-// simulate results are never persisted — mirroring the engine cache's
-// partials-are-never-cached rule. Errors degrade durability, not
+// fingerprint: run-report telemetry is stripped (a per-run account, not
+// content) and partial simulate results are never persisted — mirroring
+// the engine cache's partials-are-never-cached rule. Errors degrade durability, not
 // availability: the job still completes.
 func (m *Manager) Publish(key string, res *engine.Result) {
 	if m == nil || m.killed.Load() || m.store == nil || key == "" {

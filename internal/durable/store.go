@@ -25,6 +25,9 @@ var (
 	// quarantine; the caller should recompute. Every ErrCorrupt also
 	// matches ErrNotFound, so single-branch callers treat it as a miss.
 	ErrCorrupt = errors.New("durable: entry corrupt")
+	// ErrLocked reports a store directory already held by another
+	// process; two daemons must never share one store.
+	ErrLocked = errors.New("durable: store directory is locked by another process")
 )
 
 const (
@@ -40,6 +43,8 @@ const (
 	// quarantineDir collects invalid files for post-mortem inspection;
 	// nothing under it is ever served.
 	quarantineDir = "quarantine"
+	// lockName is the lock file under the store directory (see Open).
+	lockName = "LOCK"
 )
 
 // DefaultMaxEntries bounds a DiskStore that sets no explicit limit.
@@ -87,6 +92,7 @@ type dentry struct {
 type DiskStore struct {
 	dir  string
 	opts StoreOptions
+	lock *os.File // held from Open to Close; nil once closed
 
 	mu    sync.Mutex
 	ll    *list.List // front = most recently used
@@ -126,6 +132,10 @@ type StoreStats struct {
 // and the LRU index is rebuilt ordered by file modification time with key
 // order as the deterministic tie-break, so two opens over the same files
 // evict in the same order.
+//
+// Open first takes an exclusive lock on <dir>/LOCK and fails with
+// ErrLocked when another process holds it; Close (or the process's exit)
+// releases it.
 func Open(dir string, opts StoreOptions) (*DiskStore, error) {
 	if opts.MaxEntries <= 0 {
 		opts.MaxEntries = DefaultMaxEntries
@@ -133,14 +143,20 @@ func Open(dir string, opts StoreOptions) (*DiskStore, error) {
 	if err := os.MkdirAll(filepath.Join(dir, quarantineDir), 0o755); err != nil {
 		return nil, fmt.Errorf("durable: open store: %w", err)
 	}
+	lock, err := lockDir(dir)
+	if err != nil {
+		return nil, err
+	}
 	s := &DiskStore{
 		dir:   dir,
 		opts:  opts,
+		lock:  lock,
 		ll:    list.New(),
 		items: make(map[string]*list.Element),
 	}
 	des, err := os.ReadDir(dir)
 	if err != nil {
+		s.Close()
 		return nil, fmt.Errorf("durable: open store: %w", err)
 	}
 	type scanned struct {
@@ -197,6 +213,20 @@ func Open(dir string, opts StoreOptions) (*DiskStore, error) {
 
 // Dir returns the store's root directory.
 func (s *DiskStore) Dir() string { return s.dir }
+
+// Close releases the directory lock so another process (or a restarted
+// incarnation in this one) can open the store. The store must not be used
+// after Close; closing twice is harmless.
+func (s *DiskStore) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.lock == nil {
+		return nil
+	}
+	err := s.lock.Close()
+	s.lock = nil
+	return err
+}
 
 // Len returns the number of committed entries.
 func (s *DiskStore) Len() int {
@@ -441,7 +471,7 @@ func syncDir(dir string) {
 // the cache, which then recomputes.
 func (s *DiskStore) Load(key string) ([]byte, error) { return s.Get(key) }
 
-// Save implements engine.RawBacking (write-through from Cache.PutRaw).
+// Save implements engine.RawBacking; it is Put.
 func (s *DiskStore) Save(key string, data []byte) error { return s.Put(key, data) }
 
 // Stats snapshots the store's counters and occupancy.

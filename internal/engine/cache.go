@@ -280,8 +280,7 @@ func (c *Cache) Totals() (hits, misses, evictions, lockWaitUS int64) {
 }
 
 // ErrCacheMiss reports a key absent from the cache. The raw store facade
-// (GET /v1/store/{key} on dsed, cluster.Backend.StoreGet) classifies misses
-// with it so callers distinguish "not cached" from transport failures.
+// (GET /v1/store/{key} on dsed) classifies misses with it.
 var ErrCacheMiss = errors.New("engine: cache miss")
 
 // rawPrefix namespaces raw store entries inside the striped LRU so they can
@@ -290,10 +289,12 @@ var ErrCacheMiss = errors.New("engine: cache miss")
 const rawPrefix = "raw|"
 
 // RawBacking is a second, slower tier under the raw namespace — typically
-// the disk store in internal/durable. GetRaw consults it on memory misses
-// and PutRaw writes through to it. Load returns the stored bytes or an
-// error (ErrCacheMiss-compatible for absence); Save persists them. Both
-// must be safe for concurrent use.
+// the disk store in internal/durable. GetRaw consults it on memory misses;
+// the cache never writes to it (results reach the disk store only through
+// durable.Manager's publication of done jobs). Load returns the stored
+// bytes or an error (ErrCacheMiss-compatible for absence); Save persists
+// them, for callers that fill or wrap a backing directly. Both must be
+// safe for concurrent use.
 type RawBacking interface {
 	Load(key string) ([]byte, error)
 	Save(key string, data []byte) error
@@ -333,12 +334,12 @@ func memoKey(kind byte, parts ...string) string {
 	return string(h.Sum(b))
 }
 
-// GetRaw returns the canonical bytes stored under key by PutRaw, or
-// ErrCacheMiss. Raw entries live in the same striped LRU as the kernel
-// memos — they are looked up by content-addressed key alone, with no
-// re-fingerprinting — and the lookup counts against the owning shard's
-// hit/miss counters like any other access, so remote store traffic stays
-// visible in ShardStats and the engine.cache.* metrics.
+// GetRaw returns the canonical bytes stored under key in the backing tier,
+// or ErrCacheMiss. Entries read from the backing are promoted into the same
+// striped LRU as the kernel memos — looked up by content-addressed key
+// alone, with no re-fingerprinting — and every lookup counts against the
+// owning shard's hit/miss counters like any other access, so store traffic
+// stays visible in ShardStats and the engine.cache.* metrics.
 func (c *Cache) GetRaw(key string) ([]byte, error) {
 	if c == nil {
 		return nil, ErrCacheMiss
@@ -361,21 +362,6 @@ func (c *Cache) GetRaw(key string) ([]byte, error) {
 		}
 	}
 	return nil, ErrCacheMiss
-}
-
-// PutRaw stores canonical bytes under key (see GetRaw), writing through to
-// the backing tier when one is installed (backing failures degrade
-// durability, not availability — the memory entry is kept either way). The
-// bytes are copied, so callers may reuse their buffer; entries round-trip
-// verbatim. A nil cache drops the entry.
-func (c *Cache) PutRaw(key string, data []byte) {
-	if c == nil {
-		return
-	}
-	c.Put(rawPrefix+key, append([]byte(nil), data...))
-	if c.raw != nil {
-		_ = c.raw.Save(key, data)
-	}
 }
 
 // Fingerprint returns the canonical fingerprint of a, memoized by identity

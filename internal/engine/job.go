@@ -144,13 +144,9 @@ type DescribeResult struct {
 }
 
 // Result is the outcome of a job; the field matching the job's Kind is set.
-// Report is the job's telemetry account (always attached by Run). WorkerID
-// names the node that computed the result (see Runner.WorkerID) so merged
-// cluster reports and /v1/debug can attribute shards to nodes; it is empty
-// for anonymous runners.
+// Report is the job's telemetry account (always attached by Run).
 type Result struct {
 	Kind     string          `json:"kind"`
-	WorkerID string          `json:"worker_id,omitempty"`
 	Check    *core.Report    `json:"check,omitempty"`
 	Simulate *SimulateResult `json:"simulate,omitempty"`
 	Describe *DescribeResult `json:"describe,omitempty"`
@@ -164,16 +160,11 @@ var (
 )
 
 // Runner executes jobs on a shared pool with a shared memoization cache.
-// Both may be nil (sequential, uncached). The zero Resolve resolves system
-// references through internal/spec.
+// Both may be nil (sequential, uncached). System references resolve
+// through internal/spec.
 type Runner struct {
 	Pool  *Pool
 	Cache *Cache
-	// WorkerID is a stable identity for this runner's node, stamped on
-	// every Result it produces (dsed derives it from -worker-id or the
-	// hostname). Empty leaves results unattributed.
-	WorkerID string
-	Resolve  func(ref string) (psioa.PSIOA, error)
 }
 
 // NewRunner returns a runner over the given pool and cache.
@@ -181,17 +172,10 @@ func NewRunner(pool *Pool, cache *Cache) *Runner {
 	return &Runner{Pool: pool, Cache: cache}
 }
 
-func (r *Runner) resolve(ref string) (psioa.PSIOA, error) {
-	if r.Resolve != nil {
-		return r.Resolve(ref)
-	}
-	return spec.Resolve(ref)
-}
-
-func (r *Runner) resolveAll(refs []string) ([]psioa.PSIOA, error) {
+func resolveAll(refs []string) ([]psioa.PSIOA, error) {
 	out := make([]psioa.PSIOA, 0, len(refs))
 	for _, ref := range refs {
-		a, err := r.resolve(ref)
+		a, err := spec.Resolve(ref)
 		if err != nil {
 			return nil, err
 		}
@@ -270,7 +254,6 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Result, error) {
 		cJobsFailed.Inc()
 	}
 	if res != nil {
-		res.WorkerID = r.WorkerID
 		states1, trans1 := bud.Used()
 		hits1, miss1, evict1, lock1 := r.Cache.Totals()
 		memo1 := psioa.SortMemoSnapshot()
@@ -387,15 +370,15 @@ func (r *Runner) check(ctx context.Context, cs *CheckSpec, bud *resilience.Budge
 	if cs.Left == "" || cs.Right == "" || len(cs.Envs) == 0 {
 		return nil, fmt.Errorf("engine: check needs left, right and at least one env")
 	}
-	a, err := r.resolve(cs.Left)
+	a, err := spec.Resolve(cs.Left)
 	if err != nil {
 		return nil, err
 	}
-	b, err := r.resolve(cs.Right)
+	b, err := spec.Resolve(cs.Right)
 	if err != nil {
 		return nil, err
 	}
-	envs, err := r.resolveAll(cs.Envs)
+	envs, err := resolveAll(cs.Envs)
 	if err != nil {
 		return nil, err
 	}
@@ -433,7 +416,7 @@ func (r *Runner) simulate(ctx context.Context, ss *SimulateSpec, bud *resilience
 	if err := resilience.CtxError(ctx); err != nil {
 		return nil, err
 	}
-	auts, err := r.resolveAll(ss.Systems)
+	auts, err := resolveAll(ss.Systems)
 	if err != nil {
 		return nil, err
 	}
@@ -532,7 +515,7 @@ func (r *Runner) describeSystems(ctx context.Context, ds *DescribeSpec, bud *res
 		if err := resilience.CtxError(ctx); err != nil {
 			return nil, err
 		}
-		a, err := r.resolve(ref)
+		a, err := spec.Resolve(ref)
 		if err != nil {
 			return nil, err
 		}

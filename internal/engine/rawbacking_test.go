@@ -49,25 +49,21 @@ func (f *fakeBacking) Save(key string, data []byte) error {
 	return nil
 }
 
-// TestRawBackingWriteThroughAndFallback pins the two-tier raw store: PutRaw
-// writes through to the backing, and a memory miss falls through to it —
-// promoting the entry so the next lookup is a memory hit.
-func TestRawBackingWriteThroughAndFallback(t *testing.T) {
+// TestRawBackingFallback pins the two-tier raw store: a memory miss falls
+// through to the backing, promoting the entry so the next lookup is a
+// memory hit, and the cache itself never writes to the backing.
+func TestRawBackingFallback(t *testing.T) {
 	fb := newFakeBacking()
-	c := engine.NewCache(16)
-	c.SetRawBacking(fb)
-
 	data := []byte(`{"kind":"check"}`)
-	c.PutRaw("job-0001", data)
-	if fb.saves != 1 {
-		t.Fatalf("saves = %d after PutRaw, want 1 (write-through)", fb.saves)
+	if err := fb.Save("job-0001", data); err != nil {
+		t.Fatal(err)
 	}
 
-	// A fresh cache over the same backing — the restart scenario: memory
+	// A fresh cache over a warm backing — the restart scenario: memory
 	// cold, disk warm.
-	c2 := engine.NewCache(16)
-	c2.SetRawBacking(fb)
-	got, err := c2.GetRaw("job-0001")
+	c := engine.NewCache(16)
+	c.SetRawBacking(fb)
+	got, err := c.GetRaw("job-0001")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("fallback GetRaw = %q, %v", got, err)
 	}
@@ -75,17 +71,21 @@ func TestRawBackingWriteThroughAndFallback(t *testing.T) {
 		t.Fatalf("loads = %d, want 1", fb.loads)
 	}
 	// Promoted: the second lookup is served from memory, no backing I/O.
-	if _, err := c2.GetRaw("job-0001"); err != nil {
+	if _, err := c.GetRaw("job-0001"); err != nil {
 		t.Fatal(err)
 	}
 	if fb.loads != 1 {
 		t.Fatalf("loads = %d after promoted hit, want still 1", fb.loads)
 	}
+	if fb.saves != 1 {
+		t.Fatalf("saves = %d, want 1 (the test's own seed write only)", fb.saves)
+	}
 }
 
 // TestRawBackingMissAndFailure pins degradation: a backing miss is a plain
 // cache miss, and a failing backing degrades durability, not availability —
-// PutRaw still serves from memory, GetRaw still classifies ErrCacheMiss.
+// an entry already promoted to memory is still served, and GetRaw still
+// classifies ErrCacheMiss.
 func TestRawBackingMissAndFailure(t *testing.T) {
 	fb := newFakeBacking()
 	c := engine.NewCache(16)
@@ -94,8 +94,13 @@ func TestRawBackingMissAndFailure(t *testing.T) {
 		t.Fatalf("backing miss = %v, want ErrCacheMiss", err)
 	}
 
+	if err := fb.Save("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.GetRaw("k"); err != nil {
+		t.Fatal(err)
+	}
 	fb.failing = true
-	c.PutRaw("k", []byte("v"))
 	got, err := c.GetRaw("k")
 	if err != nil || string(got) != "v" {
 		t.Fatalf("memory tier lost entry when backing failed: %q, %v", got, err)
@@ -111,8 +116,7 @@ func TestRawBackingNilSafe(t *testing.T) {
 	c.SetRawBacking(newFakeBacking()) // must not panic
 	c2 := engine.NewCache(16)
 	c2.SetRawBacking(nil)
-	c2.PutRaw("k", []byte("v"))
-	if got, err := c2.GetRaw("k"); err != nil || string(got) != "v" {
-		t.Fatalf("nil backing round-trip = %q, %v", got, err)
+	if _, err := c2.GetRaw("k"); !errors.Is(err, engine.ErrCacheMiss) {
+		t.Fatalf("nil backing GetRaw = %v, want ErrCacheMiss", err)
 	}
 }

@@ -36,8 +36,7 @@ type JobRecord struct {
 	ID   string `json:"id"`
 	Kind string `json:"kind"`
 	// Fingerprint is the job's canonical workload identity (Job.Fingerprint)
-	// — the key its result is content-addressed under in the cluster and
-	// durable stores.
+	// — the key its result is content-addressed under in the durable store.
 	Fingerprint string    `json:"fingerprint,omitempty"`
 	Status      string    `json:"status"`
 	Submitted   time.Time `json:"submitted"`
@@ -62,7 +61,10 @@ type JournalSink interface {
 	// Running is invoked when the job leaves the queue and starts.
 	Running(id string)
 	// Finished is invoked with the terminal record (StatusDone with its
-	// result, or StatusFailed with the classified error).
+	// result, or StatusFailed with the classified error) before the store
+	// makes it visible: Get and List report the job running until
+	// Finished returns, so an implementation that persists the result
+	// here makes done mean durable.
 	Finished(rec *JobRecord)
 }
 
@@ -219,25 +221,29 @@ func (st *Store) submit(ctx context.Context, r *Runner, job Job, id string, fres
 		})
 		st.addRunning(-1)
 		st.cfg.Breaker.Observe(fp, err)
-		st.update(id, func(rec *JobRecord) {
-			rec.Finished = time.Now()
-			if err != nil {
-				rec.Status = StatusFailed
-				rec.Err = err.Error()
-				rec.ErrClass = resilience.Class(err)
-				return
-			}
-			rec.Status = StatusDone
-			rec.Result = res
-		})
+		// Build the terminal record privately and hand it to the journal
+		// sink first: the durable publication happens inside Finished, so
+		// Get and List show done only for a result a crash would recover.
 		st.mu.Lock()
-		st.inflight--
-		gJobsInFlight.Set(int64(st.inflight))
 		terminal := st.jobs[id].clone()
 		st.mu.Unlock()
-		if st.cfg.Journal != nil {
-			st.cfg.Journal.Finished(terminal)
+		terminal.Finished = time.Now()
+		if err != nil {
+			terminal.Status = StatusFailed
+			terminal.Err = err.Error()
+			terminal.ErrClass = resilience.Class(err)
+		} else {
+			terminal.Status = StatusDone
+			terminal.Result = res
 		}
+		if st.cfg.Journal != nil {
+			st.cfg.Journal.Finished(terminal.clone())
+		}
+		st.mu.Lock()
+		st.jobs[id] = terminal
+		st.inflight--
+		gJobsInFlight.Set(int64(st.inflight))
+		st.mu.Unlock()
 		if err != nil {
 			cJobsErrored.Inc()
 		} else {

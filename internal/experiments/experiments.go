@@ -50,9 +50,6 @@ type Table struct {
 	// expansion), "parallel" (sharded frontier expansion) or "dag"
 	// (state-collapsed forward propagation). Empty reports as "tree".
 	Kernel string `json:"kernel,omitempty"`
-	// Cluster names the verification-cluster topology the experiment ran
-	// on (e.g. "in-process-3"); empty means a single local runner.
-	Cluster string `json:"cluster,omitempty"`
 	// Elapsed is the wall-clock runtime, filled in by Instrumented.
 	Elapsed time.Duration `json:"-"`
 }
@@ -71,7 +68,6 @@ type Result struct {
 	ElapsedUS int64      `json:"elapsed_us"`
 	Workers   int        `json:"workers"`
 	Kernel    string     `json:"kernel"`
-	Cluster   string     `json:"cluster,omitempty"`
 	Header    []string   `json:"header"`
 	Rows      [][]string `json:"rows"`
 }
@@ -95,7 +91,6 @@ func (t *Table) Result() Result {
 		ElapsedUS: t.Elapsed.Microseconds(),
 		Workers:   workers,
 		Kernel:    kernel,
-		Cluster:   t.Cluster,
 		Header:    t.Header,
 		Rows:      t.Rows,
 	}
@@ -1031,7 +1026,6 @@ func Runners() (ids []string, byID map[string]func() (*Table, error)) {
 		{"E18", E18EngineEquivalence},
 		{"E19", E19ParallelMeasure}, {"E20", E20DAGCollapse},
 		{"E21", E21ShardTelemetry},
-		{"E22", E22ClusterEquivalence},
 		{"E23", E23InternedCore},
 	}
 	byID = make(map[string]func() (*Table, error), len(entries))

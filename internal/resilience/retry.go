@@ -30,11 +30,9 @@ type Backoff struct {
 	Seed uint64
 }
 
-// Delay returns the backoff before retry number retry (1-based), drawing
-// jitter from s (which may be nil when Jitter is 0). Exported so pollers —
-// like the cluster coordinator's revival re-probe — can pace themselves
-// with the same policy without going through Retry.
-func (b Backoff) Delay(retry int, s *rng.Stream) time.Duration {
+// delay returns the backoff before retry number retry (1-based), drawing
+// jitter from s (which may be nil when Jitter is 0).
+func (b Backoff) delay(retry int, s *rng.Stream) time.Duration {
 	base := b.Base
 	if base <= 0 {
 		base = 10 * time.Millisecond
@@ -77,7 +75,7 @@ func Retry(ctx context.Context, b Backoff, fn func() error) error {
 			return err
 		}
 		cRetries.Inc()
-		if serr := sleepCtx(ctx, b.Delay(i, stream)); serr != nil {
+		if serr := sleepCtx(ctx, b.delay(i, stream)); serr != nil {
 			return serr
 		}
 	}

@@ -4,7 +4,8 @@
 # complete one async job, queue several more behind a single worker slot,
 # SIGKILL the daemon mid-queue, restart it over the same directory, and
 # assert zero lost jobs (every pre-crash ID reaches done) with at least one
-# result served from the disk store instead of recomputed. See
+# result served from the disk store instead of recomputed. A second dsed
+# on the same store directory must refuse to start. See
 # docs/DURABILITY.md.
 set -eu
 
@@ -26,7 +27,7 @@ trap cleanup EXIT
 start_dsed() {
     # One worker slot so queued jobs provably sit behind the running one
     # when the SIGKILL lands.
-    "$TMP/dsed" -addr "127.0.0.1:$PORT" -worker-id durable-smoke \
+    "$TMP/dsed" -addr "127.0.0.1:$PORT" \
         -workers 1 -store-dir "$DUR" >>"$TMP/dsed.log" 2>&1 &
     DSED_PID=$!
 }
@@ -109,11 +110,23 @@ for id in $IDS; do
     await_done "$id"
 done
 
+# The live daemon holds the store directory's lock: a second daemon on
+# the same directory exits at startup instead of sharing it.
+if "$TMP/dsed" -addr "127.0.0.1:$((PORT + 1))" -store-dir "$DUR" 2>"$TMP/second.log"; then
+    echo "durable-smoke: a second dsed started on a locked store directory" >&2
+    exit 1
+fi
+if ! grep -q 'locked by another process' "$TMP/second.log"; then
+    echo "durable-smoke: second dsed failed without the lock message:" >&2
+    cat "$TMP/second.log" >&2
+    exit 1
+fi
+
 prom=$(curl -sf "$BASE/v1/metrics?format=prom") || {
     echo "durable-smoke: metrics fetch failed" >&2
     exit 1
 }
-hits=$(printf '%s\n' "$prom" | sed -n 's/^dse_cluster_store_disk_hits \([0-9][0-9]*\)$/\1/p' | head -n1)
+hits=$(printf '%s\n' "$prom" | sed -n 's/^dse_durable_store_disk_hits \([0-9][0-9]*\)$/\1/p' | head -n1)
 if [ -z "$hits" ] || [ "$hits" -eq 0 ]; then
     echo "durable-smoke: no disk-served results after restart (disk_hits=${hits:-absent})" >&2
     exit 1
