@@ -24,13 +24,13 @@ bench:
 bench-json:
 	$(GO) run ./cmd/dsebench -json BENCH_7.json
 
-# bench-par runs the parallel-vs-sequential kernels at GOMAXPROCS 1 and at
-# the host default: the sharded expansion, the DAG collapse, and the
-# substream sampler. Results are byte-identical at every worker count, so
-# the only thing that moves between the two runs is wall clock.
+# bench-par runs the DAG collapse (against the tree kernel) and the
+# substream sampler at GOMAXPROCS 1 and at the host default. The sampled
+# distribution is identical at every worker count, so the only thing that
+# moves between the two runs is wall clock.
 bench-par:
-	GOMAXPROCS=1 $(GO) test -bench='Parallel|DAG' -benchtime=1x -run='^$$' .
-	$(GO) test -bench='Parallel|DAG' -benchtime=1x -run='^$$' .
+	GOMAXPROCS=1 $(GO) test -bench='SampleImageParallel|DAG' -benchtime=1x -run='^$$' .
+	$(GO) test -bench='SampleImageParallel|DAG' -benchtime=1x -run='^$$' .
 
 # bench-compare fails when the current recording (BENCH_7.json) regresses
 # more than 20% against the previous PR's baseline (BENCH_6.json).
@@ -86,9 +86,10 @@ chaos:
 	$(GO) test -race ./internal/resilience/...
 
 # check is the tier-1 gate plus static analysis, the race-sensitive
-# packages, the chaos suite, the bench tooling smoke, the parallel-kernel
-# smoke, the baseline comparison, the daemon and durability end-to-end
-# smokes, and the benchmark module's build; run before every commit.
+# packages, the chaos suite, the bench tooling smoke, the DAG-kernel and
+# sampler benchmark smoke, the baseline comparison, the daemon and
+# durability end-to-end smokes, and the benchmark module's build; run
+# before every commit.
 check: build vet no-string-keys test race chaos bench-smoke bench-par bench-compare daemon-smoke obs-smoke durable-smoke perfbench-build
 
 clean:

@@ -499,26 +499,6 @@ func BenchmarkBalancedSup(b *testing.B) {
 	}
 }
 
-// BenchmarkMeasureParallel measures the sharded frontier expansion against
-// the deep/wide random-walk tree at several worker counts; the workers=1
-// case routes through the sequential kernel, so the sub-benchmark family is
-// the parallel-vs-sequential scaling curve (see make bench-par).
-func BenchmarkMeasureParallel(b *testing.B) {
-	w := testaut.RandomWalk("w", 10, 0.5)
-	s := &sched.Random{A: w, Bound: 14}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := sched.MeasureOpts(context.Background(), w, s, 16, nil,
-					sched.Options{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkMeasureDAGConverging measures the state-collapsed DAG kernel
 // against the tree kernel on a converging automaton at the same bound: the
 // tree expands ~2^14 executions while the DAG propagates |states|×depth

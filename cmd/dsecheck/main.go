@@ -43,10 +43,10 @@ func main() {
 	eps := flag.Float64("eps", 0, "tolerance ε")
 	q1 := flag.Int("q1", 3, "left scheduler bound")
 	q2 := flag.Int("q2", 0, "right scheduler bound (default q1)")
-	workers := flag.Int("workers", 0, "worker pool size for jobs and the parallel measure kernels (0 = GOMAXPROCS, 1 = sequential)")
+	workers := flag.Int("workers", 0, "worker pool size for the (environment, scheduler) pair fan-out; exact measures are sequential (0 = GOMAXPROCS, 1 = sequential)")
 	cacheSize := flag.Int("cache", engine.DefaultCacheSize, "memoization cache entries (0 = default)")
 	verbose := flag.Bool("v", false, "print every (environment, scheduler) pair")
-	explain := flag.Bool("explain", false, "print the per-job run report (work counters, shard balance, cache hit ratio, phase walls)")
+	explain := flag.Bool("explain", false, "print the per-job run report (work counters, cache hit ratio, phase walls)")
 	timeout := flag.Duration("timeout", 0, "abort after this wall-clock time (0 = no limit)")
 	budget := flag.Int64("budget", 0, "kernel transition budget before stopping (0 = unlimited)")
 	ocli.Register(flag.CommandLine)

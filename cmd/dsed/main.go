@@ -39,7 +39,7 @@ var ocli obs.CLI
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 0, "worker pool size for jobs and the parallel measure kernels (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "worker pool size: the (environment, scheduler) pair fan-out of checks and the Monte-Carlo sampling fan-out; exact measures are sequential (0 = GOMAXPROCS)")
 	cacheSize := flag.Int("cache-size", engine.DefaultCacheSize, "memoization cache entries")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-job timeout")
 	queue := flag.Int("queue", 64, "max async jobs in flight before shedding with 503 (0 = unbounded)")

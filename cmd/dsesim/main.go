@@ -47,7 +47,7 @@ func main() {
 	maxShow := flag.Int("show", 20, "max entries to print")
 	timeout := flag.Duration("timeout", 0, "abort after this wall-clock time (0 = no limit)")
 	budget := flag.Int64("budget", 0, "kernel transition budget before stopping (0 = unlimited)")
-	workers := flag.Int("workers", 0, "measure/sampling kernel workers (0 = GOMAXPROCS, 1 = sequential)")
+	workers := flag.Int("workers", 0, "Monte-Carlo sampling workers (-samples > 0); the exact measure is sequential (0 = GOMAXPROCS, 1 = sequential)")
 	ocli.Register(flag.CommandLine)
 	flag.Parse()
 	fatal(ocli.Start())
@@ -71,8 +71,8 @@ func main() {
 		orderList = strings.Split(*order, ",")
 	}
 
-	// The pool sizes the parallel measure kernels (results are byte-identical
-	// at any worker count, so -workers only affects wall clock).
+	// The pool sizes the sampling fan-out (estimates are identical at any
+	// worker count, so -workers only affects wall clock).
 	r := engine.NewRunner(engine.NewPool(*workers), engine.NewCache(0))
 	res, err := r.Simulate(ctx, &engine.SimulateSpec{
 		Systems: systems,

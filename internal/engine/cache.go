@@ -46,11 +46,10 @@ const maxFingerprintMemo = 8192
 // intermediate results of implementation checks: exploration results and
 // execution-measure distributions, keyed by a canonical automaton
 // fingerprint (plus scheduler name, insight id and depth). It implements
-// core.Memo (and core.MemoOpts), so it can be plugged into core.Options
-// directly. Storage is lock-striped: keys map to N independent mutex-LRU
-// shards by key hash, so the concurrent callers of the parallel kernels do
-// not serialize on a single mutex, while hit/miss/eviction counters stay
-// aggregated.
+// core.Memo, so it can be plugged into core.Options directly. Storage is
+// lock-striped: keys map to N independent mutex-LRU shards by key hash, so
+// the concurrent pair tasks of a pooled check do not serialize on a single
+// mutex, while hit/miss/eviction counters stay aggregated.
 //
 // Cached values are shared between callers and must be treated as
 // read-only; everything the engine caches (Exploration, ExecMeasure,
@@ -434,29 +433,12 @@ func (c *Cache) Measure(a psioa.PSIOA, s sched.Scheduler, maxDepth int) (*sched.
 // expansion. A budget-bounded partial measure is returned with its error
 // but never cached: only complete expansions are reused.
 func (c *Cache) MeasureCtx(ctx context.Context, a psioa.PSIOA, s sched.Scheduler, maxDepth int, b *resilience.Budget) (*sched.ExecMeasure, error) {
-	if c == nil {
-		return sched.MeasureCtx(ctx, a, s, maxDepth, b)
-	}
-	fp, err := c.Fingerprint(a)
-	if err != nil {
-		return nil, err
-	}
-	key := memoKey(memoMeasure, fp, s.Name(), strconv.Itoa(maxDepth))
-	if v, ok := c.Get(key); ok {
-		return v.(*sched.ExecMeasure), nil
-	}
-	em, err := sched.MeasureCtx(ctx, a, s, maxDepth, b)
-	if err != nil {
-		return em, err
-	}
-	c.Put(key, em)
-	return em, nil
+	return c.MeasureOpts(ctx, a, s, maxDepth, b, sched.Options{})
 }
 
-// MeasureOpts is MeasureCtx computing misses with the parallel
-// level-synchronous kernel. Parallel and sequential expansions are
-// byte-identical, so they share cache keys: a measure expanded at one
-// worker count is reused at any other. Partial results are never cached.
+// MeasureOpts is MeasureCtx computing misses through sched.MeasureOpts, so
+// o.Stats records the expansions this call performs (hits record nothing).
+// Partial results are never cached.
 func (c *Cache) MeasureOpts(ctx context.Context, a psioa.PSIOA, s sched.Scheduler, maxDepth int, b *resilience.Budget, o sched.Options) (*sched.ExecMeasure, error) {
 	if c == nil {
 		return sched.MeasureOpts(ctx, a, s, maxDepth, b, o)
@@ -486,36 +468,26 @@ func (c *Cache) FDist(w psioa.PSIOA, s sched.Scheduler, f insight.Insight, maxDe
 }
 
 // FDistCtx is FDist threading cancellation and a budget into the underlying
-// expansion; it implements core.Memo. Interrupted computations — including
-// budget-bounded partial measures — are never cached.
+// expansion. A miss always expands (or reuses) the tree measure.
+// Interrupted computations — including budget-bounded partial measures —
+// are never cached.
 func (c *Cache) FDistCtx(ctx context.Context, w psioa.PSIOA, s sched.Scheduler, f insight.Insight, maxDepth int, b *resilience.Budget) (*measure.Dist[string], error) {
-	if c == nil {
-		return insight.FDistCtx(ctx, w, s, f, maxDepth, b)
-	}
-	fp, err := c.Fingerprint(w)
-	if err != nil {
-		return nil, err
-	}
-	key := memoKey(memoFDist, fp, s.Name(), f.ID, strconv.Itoa(maxDepth))
-	if v, ok := c.Get(key); ok {
-		return v.(*measure.Dist[string]), nil
-	}
-	em, err := c.MeasureCtx(ctx, w, s, maxDepth, b)
-	if err != nil {
-		return nil, err
-	}
-	img := em.Image(func(fr *psioa.Frag) string { return f.Apply(w, fr) })
-	c.Put(key, img)
-	return img, nil
+	return c.fdist(ctx, w, s, f, maxDepth, b, sched.Options{}, false)
 }
 
-// FDistOpts is FDistCtx with kernel options; it implements core.MemoOpts.
+// FDistOpts is FDistCtx with kernel options; it implements core.Memo.
 // State-local insights under depth-oblivious schedulers compute on the
 // state-collapsed DAG (no tree expansion is performed or cached); other
 // misses reuse or expand the tree measure through MeasureOpts. Both routes
 // fill the same fdist key — the distributions agree — so DAG-computed
 // images are reused by tree-routed callers and vice versa.
 func (c *Cache) FDistOpts(ctx context.Context, w psioa.PSIOA, s sched.Scheduler, f insight.Insight, maxDepth int, b *resilience.Budget, o sched.Options) (*measure.Dist[string], error) {
+	return c.fdist(ctx, w, s, f, maxDepth, b, o, true)
+}
+
+// fdist is the body of FDistCtx and FDistOpts; dag enables the DAG route
+// for misses. A nil cache passes through to insight.FDistOpts.
+func (c *Cache) fdist(ctx context.Context, w psioa.PSIOA, s sched.Scheduler, f insight.Insight, maxDepth int, b *resilience.Budget, o sched.Options, dag bool) (*measure.Dist[string], error) {
 	if c == nil {
 		return insight.FDistOpts(ctx, w, s, f, maxDepth, b, o)
 	}
@@ -527,7 +499,7 @@ func (c *Cache) FDistOpts(ctx context.Context, w psioa.PSIOA, s sched.Scheduler,
 	if v, ok := c.Get(key); ok {
 		return v.(*measure.Dist[string]), nil
 	}
-	if f.StateLocal != nil {
+	if dag && f.StateLocal != nil {
 		if _, ok := sched.AsDepthOblivious(s); ok {
 			img, err := insight.FDistOpts(ctx, w, s, f, maxDepth, b, o)
 			if err != nil {

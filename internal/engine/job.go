@@ -198,11 +198,9 @@ func (r *Runner) options(ctx context.Context, b *resilience.Budget, st *sched.St
 }
 
 // kernelOpts derives the sched kernel options from the runner's pool: the
-// worker count only, never the pool handle itself — check jobs already run
-// per-pair tasks on the pool, and a kernel fanning its frontier shards back
-// onto the same semaphore from inside one of those tasks would deadlock.
-// The kernels spawn private bounded goroutines instead. st (may be nil)
-// threads the job's telemetry collector into every kernel call.
+// worker count sizes the Monte-Carlo sampling fan-out (the exact kernels
+// are sequential), and st (may be nil) threads the job's telemetry
+// collector into every kernel call.
 func (r *Runner) kernelOpts(st *sched.Stats) sched.Options {
 	if r.Pool == nil {
 		return sched.Options{Stats: st}
@@ -247,7 +245,6 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Result, error) {
 	}
 	states0, trans0 := bud.Used()
 	hits0, miss0, evict0, lock0 := r.Cache.Totals()
-	memo0 := psioa.SortMemoSnapshot()
 	res, err := r.dispatch(ctx, job, bud, st)
 	if err != nil {
 		err = resilience.WrapCtx(err)
@@ -256,7 +253,6 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Result, error) {
 	if res != nil {
 		states1, trans1 := bud.Used()
 		hits1, miss1, evict1, lock1 := r.Cache.Totals()
-		memo1 := psioa.SortMemoSnapshot()
 		rep := &obs.RunReport{
 			Kind:              job.Kind,
 			WallUS:            time.Since(start).Microseconds(),
@@ -267,10 +263,6 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Result, error) {
 			CacheMisses:       miss1 - miss0,
 			CacheEvictions:    evict1 - evict0,
 			CacheLockWaitUS:   lock1 - lock0,
-			SortMemoHits:      memo1.Hits - memo0.Hits,
-			SortMemoMisses:    memo1.Misses - memo0.Misses,
-			SortMemoResets:    memo1.Resets - memo0.Resets,
-			SortMemoEntries:   int64(memo1.Entries),
 			BudgetStates:      job.BudgetStates,
 			BudgetTransitions: job.BudgetTransitions,
 			Workers:           r.Pool.Workers(),
@@ -297,20 +289,19 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Result, error) {
 // the quantiles characterise the kernel family, not this job alone.
 func phaseQuantiles(phases []obs.PhaseStat) {
 	for i := range phases {
-		var names []string
+		var name string
 		switch phases[i].Name {
 		case "sched.measure":
-			names = []string{"sched.measure.par.us", "sched.measure.us"}
+			name = "sched.measure.us"
 		case "sched.sample":
-			names = []string{"sched.sample.par.us"}
+			name = "sched.sample.par.us"
 		case "sched.measure.dag":
-			names = []string{"sched.measure.dag.us"}
+			name = "sched.measure.dag.us"
+		default:
+			continue
 		}
-		for _, n := range names {
-			if s := obs.H(n).Snapshot(); s.Count > 0 {
-				phases[i].P50US, phases[i].P95US, phases[i].P99US = s.P50, s.P95, s.P99
-				break
-			}
+		if s := obs.H(name).Snapshot(); s.Count > 0 {
+			phases[i].P50US, phases[i].P95US, phases[i].P99US = s.P50, s.P95, s.P99
 		}
 	}
 }

@@ -47,8 +47,8 @@ type Table struct {
 	// (0 means the default sequential path and reports as 1).
 	Workers int `json:"workers,omitempty"`
 	// Kernel names the measure kernel exercised: "tree" (exact sequential
-	// expansion), "parallel" (sharded frontier expansion) or "dag"
-	// (state-collapsed forward propagation). Empty reports as "tree".
+	// expansion) or "dag" (state-collapsed forward propagation). Empty
+	// reports as "tree".
 	Kernel string `json:"kernel,omitempty"`
 	// Elapsed is the wall-clock runtime, filled in by Instrumented.
 	Elapsed time.Duration `json:"-"`
@@ -1024,9 +1024,7 @@ func Runners() (ids []string, byID map[string]func() (*Table, error)) {
 		{"E13", E13CreationMonotonicity}, {"E14", E14CoinFlipping}, {"E15", E15FamilyEmulation},
 		{"E16", E16SchedulingRole}, {"E17", E17SamplingConvergence},
 		{"E18", E18EngineEquivalence},
-		{"E19", E19ParallelMeasure}, {"E20", E20DAGCollapse},
-		{"E21", E21ShardTelemetry},
-		{"E23", E23InternedCore},
+		{"E20", E20DAGCollapse},
 	}
 	byID = make(map[string]func() (*Table, error), len(entries))
 	for _, e := range entries {

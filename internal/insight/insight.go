@@ -157,10 +157,9 @@ func FDistCtx(ctx context.Context, w psioa.PSIOA, s sched.Scheduler, f Insight, 
 // FDistOpts is FDistCtx with kernel options, routed automatically: a
 // state-local insight under a depth-oblivious scheduler computes on the
 // state-collapsed DAG kernel (no fragments materialised, O(|states| ×
-// depth)); everything else expands the exact tree, sharded across workers
-// when the options request parallelism. Both routes produce the same
-// distribution — bit for bit on dyadic workloads, up to float summation
-// order otherwise.
+// depth)); everything else expands the exact tree (sched.MeasureOpts).
+// Both routes produce the same distribution — bit for bit on dyadic
+// workloads, up to float summation order otherwise.
 func FDistOpts(ctx context.Context, w psioa.PSIOA, s sched.Scheduler, f Insight, maxDepth int, b *resilience.Budget, o sched.Options) (*measure.Dist[string], error) {
 	defer obs.Time("insight.fdist.us")()
 	if f.StateLocal != nil {

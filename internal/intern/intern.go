@@ -1,7 +1,7 @@
 // Package intern provides the interned-ID state-space core (ROADMAP item
 // 2): dense integer identifiers for the strings the measure kernels used to
-// key everything by, and a read-mostly concurrent map that lets the
-// parallel kernels share memo tables without serializing on a mutex.
+// key everything by, and a read-mostly concurrent map that lets concurrent
+// kernel calls share memo tables without serializing on a mutex.
 //
 // Two building blocks:
 //

@@ -55,9 +55,9 @@ const (
 	KindEmuRound Kind = "emulation.round"
 	// KindExperiment is one completed experiment of the E1..E17 suite.
 	KindExperiment Kind = "experiment"
-	// KindShard is one shard of one level of a parallel kernel (Name =
-	// scheduler, Attr = "L<level>.S<shard>", N = items expanded, Dur =
-	// shard wall μs, Parent = the kernel span id).
+	// KindShard is one shard of a parallel sampling call (Name =
+	// scheduler, Attr = "S<shard>", N = samples drawn, Dur = shard wall
+	// μs, Parent = the kernel span id).
 	KindShard Kind = "sched.shard"
 )
 

@@ -5,9 +5,10 @@ import (
 	"strings"
 )
 
-// ShardStat is the per-shard work account of a parallel kernel, aggregated
-// over every level the shard participated in. Items is the number of
-// frontier items (or samples) the shard expanded, Width the total span
+// ShardStat is the per-shard work account of a sharded kernel call (the
+// Monte-Carlo sampler, or the DAG kernel's one shard per level),
+// aggregated over every level the shard participated in. Items is the
+// number of samples (or DAG nodes) the shard expanded, Width the total span
 // width it was handed, WallUS its busy wall time, and BarrierWaitUS the
 // time it sat at level barriers while slower shards finished — the direct
 // measurement of shard imbalance.
@@ -36,10 +37,12 @@ type PhaseStat struct {
 // engine job results, printed by dsecheck -explain, appended to dsebench
 // -json output and returned in dsed job responses.
 //
-// Cache and sort-memo figures are deltas of the process counters taken
-// around the job; in a single-job CLI process they are exact, under
-// concurrent daemon jobs they may include a neighbour's traffic (see
-// docs/OBSERVABILITY.md).
+// Cache figures are deltas of the process counters taken around the job;
+// in a single-job CLI process they are exact, under concurrent daemon jobs
+// they may include a neighbour's traffic (see docs/OBSERVABILITY.md). The
+// process-global sort memo is not reported per job: concurrent workers race
+// to fill it, so no job owns its counts (its totals are on /v1/debug and in
+// the metrics).
 type RunReport struct {
 	Kind         string `json:"kind,omitempty"`
 	WallUS       int64  `json:"wall_us"`
@@ -51,11 +54,6 @@ type RunReport struct {
 	CacheMisses    int64   `json:"cache_misses"`
 	CacheEvictions int64   `json:"cache_evictions,omitempty"`
 	CacheHitRatio  float64 `json:"cache_hit_ratio"`
-
-	SortMemoHits    int64 `json:"sort_memo_hits"`
-	SortMemoMisses  int64 `json:"sort_memo_misses"`
-	SortMemoResets  int64 `json:"sort_memo_resets,omitempty"`
-	SortMemoEntries int64 `json:"sort_memo_entries"`
 
 	// BudgetStates/BudgetTransitions echo the limits the job ran under
 	// (zero = unlimited); States/Transitions are the spend against them.
@@ -108,8 +106,6 @@ func (r *RunReport) String() string {
 	}
 	fmt.Fprintf(&b, "  cache       hits=%d misses=%d evictions=%d hit-ratio=%.3f\n",
 		r.CacheHits, r.CacheMisses, r.CacheEvictions, r.CacheHitRatio)
-	fmt.Fprintf(&b, "  sort memo   hits=%d misses=%d resets=%d entries=%d\n",
-		r.SortMemoHits, r.SortMemoMisses, r.SortMemoResets, r.SortMemoEntries)
 	if len(r.Shards) > 0 {
 		fmt.Fprintf(&b, "  shards      workers=%d levels=%d imbalance(max/mean)=%.3f barrier-wait=%s",
 			r.Workers, r.Levels, r.ShardImbalance, usDur(r.BarrierWaitUS))

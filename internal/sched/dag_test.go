@@ -52,8 +52,8 @@ func TestMeasureDAGMatchesTree(t *testing.T) {
 		if dm.Classes() > em.Len() {
 			t.Errorf("%s: %d halting classes exceed %d executions", name, dm.Classes(), em.Len())
 		}
-		want := renderDist(em.Image(func(f *psioa.Frag) string { return string(f.LState()) }))
-		got := renderDist(dm.Image(func(q psioa.State, depth int) string { return string(q) }))
+		want := testaut.RenderDist(em.Image(func(f *psioa.Frag) string { return string(f.LState()) }))
+		got := testaut.RenderDist(dm.Image(func(q psioa.State, depth int) string { return string(q) }))
 		if got != want {
 			t.Errorf("%s: DAG final-state image differs from tree:\n%s\nvs\n%s", name, got, want)
 		}

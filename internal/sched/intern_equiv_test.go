@@ -15,98 +15,12 @@ import (
 	"repro/internal/testaut"
 )
 
-// These tests pin the interned-core refactor (ROADMAP item 2): the kernels
-// now run on dense intern IDs internally, and these properties check them
-// bit for bit against independent string-keyed reference implementations
-// on random automata. Bitwise — not approximate — equality is the
+// These tests pin the interned core: the kernels run on dense intern IDs
+// internally, and these properties check them bit for bit against
+// independent string-keyed reference implementations (testaut.RefExpand
+// for the tree, refDAG below) on random automata. Bitwise — not approximate — equality is the
 // contract: interning changes representation, never a float operation or
 // its order.
-
-// refMeasure is the pre-interning tree kernel, reimplemented here over
-// string-keyed maps as an independent reference: same DFS, same pruning,
-// same (action, successor) child order, halts keyed by fragment key, cone
-// masses accumulated in sorted halted-key order over parent chains.
-type refMeasure struct {
-	halts map[string]float64
-	cones map[string]float64
-	total float64
-}
-
-func refExpand(a psioa.PSIOA, s sched.Scheduler, maxDepth int) (*refMeasure, error) {
-	rm := &refMeasure{halts: map[string]float64{}, cones: map[string]float64{}}
-	type item struct {
-		f *psioa.Frag
-		p float64
-	}
-	haltFrag := map[string]*psioa.Frag{}
-	stack := []item{{psioa.NewFrag(a.Start()), 1}}
-	for len(stack) > 0 {
-		it := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		f, p := it.f, it.p
-		if p < 1e-15 {
-			continue
-		}
-		choice := s.Choose(f)
-		if !choice.IsSubProb() {
-			return nil, fmt.Errorf("over-mass at %v", f)
-		}
-		if halt := choice.Deficit(); halt > 1e-15 {
-			k := f.Key()
-			rm.halts[k] += p * halt
-			haltFrag[k] = f
-		}
-		if choice.Total() <= 1e-15 {
-			continue
-		}
-		if f.Len() >= maxDepth {
-			return nil, fmt.Errorf("depth exceeded at %v", f)
-		}
-		var kids []item
-		lst := f.LState()
-		for _, act := range choice.SortedSupport() {
-			pa := choice.P(act)
-			if pa <= 0 {
-				continue
-			}
-			eta := a.Trans(lst, act)
-			for _, q2 := range eta.SortedSupport() {
-				pq := eta.P(q2)
-				if pq <= 0 {
-					continue
-				}
-				kids = append(kids, item{f.Extend(act, q2), p * pa * pq})
-			}
-		}
-		for i := len(kids) - 1; i >= 0; i-- {
-			stack = append(stack, kids[i])
-		}
-	}
-	keys := make([]string, 0, len(rm.halts))
-	for k := range rm.halts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		rm.total += rm.halts[k]
-		for g := haltFrag[k]; g != nil; g = g.Parent() {
-			rm.cones[g.Key()] += rm.halts[k]
-		}
-	}
-	return rm, nil
-}
-
-func internEquivScheduler(a *psioa.Table, pick uint8) sched.Scheduler {
-	switch pick % 3 {
-	case 0:
-		return &sched.Greedy{A: a, Bound: 5, LocalOnly: true}
-	case 1:
-		return &sched.Random{A: a, Bound: 5, LocalOnly: true}
-	default:
-		return &sched.Priority{A: a, Bound: 5, LocalOnly: true,
-			Order: []psioa.Action{"a0_r", "a1_r", "a2_r", "a3_r"}}
-	}
-}
 
 // TestInternedMeasureMatchesReferenceQuick: the interned tree kernel
 // agrees bitwise with the string-keyed reference — support keys, halted
@@ -115,36 +29,36 @@ func internEquivScheduler(a *psioa.Table, pick uint8) sched.Scheduler {
 // fallback).
 func TestInternedMeasureMatchesReferenceQuick(t *testing.T) {
 	prop := func(seed uint64, pick uint8) bool {
-		a := randomAut(seed)
-		s := internEquivScheduler(a, pick)
+		a := testaut.RandomAut(seed)
+		s := testaut.RandomSched(a, pick)
 		em, err := sched.Measure(a, s, 6)
 		if err != nil {
 			t.Logf("seed %d: measure: %v", seed, err)
 			return false
 		}
-		ref, err := refExpand(a, s, 6)
+		ref, err := testaut.RefExpand(a, s, 6)
 		if err != nil {
 			t.Logf("seed %d: reference: %v", seed, err)
 			return false
 		}
-		if em.Total() != ref.total {
-			t.Logf("seed %d: total %v != ref %v", seed, em.Total(), ref.total)
+		if em.Total() != ref.Total {
+			t.Logf("seed %d: total %v != ref %v", seed, em.Total(), ref.Total)
 			return false
 		}
-		if em.Len() != len(ref.halts) {
-			t.Logf("seed %d: support %d != ref %d", seed, em.Len(), len(ref.halts))
+		if em.Len() != len(ref.Halts) {
+			t.Logf("seed %d: support %d != ref %d", seed, em.Len(), len(ref.Halts))
 			return false
 		}
 		ok := true
 		em.ForEach(func(f *psioa.Frag, p float64) {
-			if ref.halts[f.Key()] != p {
-				t.Logf("seed %d: halt %q mass %v != ref %v", seed, f.Key(), p, ref.halts[f.Key()])
+			if ref.Halts[f.Key()] != p {
+				t.Logf("seed %d: halt %q mass %v != ref %v", seed, f.Key(), p, ref.Halts[f.Key()])
 				ok = false
 			}
 		})
 		em.ForEachPrefix(func(f *psioa.Frag) {
-			if got := em.Cone(f); got != ref.cones[f.Key()] {
-				t.Logf("seed %d: cone(%q) %v != ref %v", seed, f.Key(), got, ref.cones[f.Key()])
+			if got := em.Cone(f); got != ref.Cones[f.Key()] {
+				t.Logf("seed %d: cone(%q) %v != ref %v", seed, f.Key(), got, ref.Cones[f.Key()])
 				ok = false
 			}
 			// Foreign fragment with no intern ID: must take the key-indexed
@@ -155,8 +69,8 @@ func TestInternedMeasureMatchesReferenceQuick(t *testing.T) {
 				ok = false
 				return
 			}
-			if got := em.Cone(re); got != ref.cones[f.Key()] {
-				t.Logf("seed %d: foreign cone(%q) %v != ref %v", seed, f.Key(), got, ref.cones[f.Key()])
+			if got := em.Cone(re); got != ref.Cones[f.Key()] {
+				t.Logf("seed %d: foreign cone(%q) %v != ref %v", seed, f.Key(), got, ref.Cones[f.Key()])
 				ok = false
 			}
 		})
@@ -173,8 +87,8 @@ func TestInternedMeasureMatchesReferenceQuick(t *testing.T) {
 // to the same fragment).
 func TestInternIDAssignmentQuick(t *testing.T) {
 	prop := func(seed uint64, pick uint8) bool {
-		a := randomAut(seed)
-		em, err := sched.Measure(a, internEquivScheduler(a, pick), 6)
+		a := testaut.RandomAut(seed)
+		em, err := sched.Measure(a, testaut.RandomSched(a, pick), 6)
 		if err != nil {
 			return false
 		}
@@ -201,59 +115,6 @@ func TestInternIDAssignmentQuick(t *testing.T) {
 		return ok
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestParallelMergeDeterminismQuick: the sharded kernel merges to a
-// bitwise-identical measure at every worker count — same support order,
-// same masses, same cone masses — on random (non-dyadic) workloads where
-// any reordering of float sums would show.
-func TestParallelMergeDeterminismQuick(t *testing.T) {
-	prop := func(seed uint64, pick uint8) bool {
-		a := randomAut(seed)
-		s := internEquivScheduler(a, pick)
-		base, err := sched.MeasureOpts(context.Background(), a, s, 6, nil, sched.Options{Workers: 1})
-		if err != nil {
-			return false
-		}
-		type line struct {
-			k string
-			p float64
-		}
-		render := func(em *sched.ExecMeasure) []line {
-			var out []line
-			em.ForEach(func(f *psioa.Frag, p float64) {
-				out = append(out, line{f.Key(), p})
-			})
-			em.ForEachPrefix(func(f *psioa.Frag) {
-				out = append(out, line{"C" + f.Key(), em.Cone(f)})
-			})
-			out = append(out, line{"T", em.Total()})
-			return out
-		}
-		want := render(base)
-		for _, w := range []int{2, 3, 8} {
-			em, err := sched.MeasureOpts(context.Background(), a, s, 6, nil, sched.Options{Workers: w})
-			if err != nil {
-				t.Logf("seed %d workers %d: %v", seed, w, err)
-				return false
-			}
-			got := render(em)
-			if len(got) != len(want) {
-				t.Logf("seed %d workers %d: %d lines != %d", seed, w, len(got), len(want))
-				return false
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Logf("seed %d workers %d: line %d %v != %v", seed, w, i, got[i], want[i])
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
 }
@@ -316,8 +177,8 @@ func refDAG(a psioa.PSIOA, s sched.DepthOblivious, maxDepth int) (halts [][3]int
 // and with the tree kernel's total up to float summation order.
 func TestInternedDAGMatchesReferenceQuick(t *testing.T) {
 	prop := func(seed uint64, pick uint8) bool {
-		a := randomAut(seed)
-		s := internEquivScheduler(a, pick)
+		a := testaut.RandomAut(seed)
+		s := testaut.RandomSched(a, pick)
 		dob, ok := sched.AsDepthOblivious(s)
 		if !ok {
 			t.Logf("scheduler not depth-oblivious")

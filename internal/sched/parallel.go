@@ -13,32 +13,16 @@ import (
 	"repro/internal/rng"
 )
 
-// Executor abstracts the worker pool the parallel kernels fan out on. It is
-// the engine.Pool surface restated here so sched does not import engine
-// (engine already imports sched).
-type Executor interface {
-	// Map runs fn(0..n-1) with bounded parallelism and returns the
-	// lowest-index task error.
-	Map(ctx context.Context, n int, fn func(i int) error) error
-	// Workers returns the executor's worker budget.
-	Workers() int
-}
-
-// Options configures the parallel kernels. The zero value runs everything
-// sequentially, byte-identical to MeasureCtx/SampleImageCtx.
+// Options configures the kernel calls that take them. The zero value runs
+// everything sequentially.
 type Options struct {
-	// Workers is the shard count of the level-synchronous expansion and the
-	// sampling fan-out. Zero defaults to Pool.Workers() when Pool is set,
-	// else 1 (sequential).
+	// Workers is the sampling fan-out of SampleImageOpts. Zero or one
+	// samples on the calling goroutine. The exact kernels (MeasureOpts,
+	// MeasureDAGOpts) are sequential and ignore it.
 	Workers int
-	// Pool, when set, runs the shards; otherwise the kernel spawns its own
-	// bounded goroutines. Do not pass a pool from inside one of its own
-	// Map tasks — the nested fan-out would deadlock on the pool semaphore;
-	// set Workers only in that case.
-	Pool Executor
-	// Stats, when set, collects per-level per-shard work and wall-time
-	// telemetry into the collector (see Stats). Nil — the default — skips
-	// all collection, including the per-shard clock reads.
+	// Stats, when set, collects per-phase wall time, the depth reached and
+	// per-shard work telemetry into the collector (see Stats). Nil — the
+	// default — skips all collection, including the clock reads.
 	Stats *Stats
 }
 
@@ -46,23 +30,13 @@ func (o Options) workers() int {
 	if o.Workers > 0 {
 		return o.Workers
 	}
-	if o.Pool != nil {
-		return o.Pool.Workers()
-	}
 	return 1
 }
 
-// Parallel reports whether the options request a parallel kernel.
-func (o Options) Parallel() bool { return o.workers() > 1 }
-
-// run executes fn(0..n-1) concurrently: on the configured pool when one is
-// set, else on private goroutines (one per shard; n is already bounded by
-// the worker count). Panics are isolated into *resilience.PanicError task
-// failures either way, and the lowest-index failure wins.
-func (o Options) run(ctx context.Context, n int, fn func(i int) error) error {
-	if o.Pool != nil {
-		return o.Pool.Map(ctx, n, fn)
-	}
+// runShards executes fn(0..n-1) on private goroutines (one per shard; n is
+// already bounded by the worker count). Panics are isolated into
+// *resilience.PanicError task failures, and the lowest-index failure wins.
+func runShards(n int, fn func(i int) error) error {
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -108,292 +82,29 @@ func splitSpans(n, parts int) []span {
 	return out
 }
 
-// parItem is one frontier node of the level-synchronous expansion.
-type parItem struct {
-	f *psioa.Frag
-	p float64
-}
-
-// parShard is the private output of one worker's frontier range: completed
-// work in frontier-index order plus the first validation error or
-// checkpoint stop, tagged with its global frontier index so the merge can
-// pick a deterministic winner across any worker count.
+// parShard is the private output of one sampling shard: its busy time and
+// the first error it hit, tagged with the global sample index so the merge
+// can pick a deterministic winner across any worker count.
 type parShard struct {
-	prefixes []*psioa.Frag
-	halts    []weightedFrag
-	events   []obs.Event
-	next     []parItem
-	steps    int64
-	haltn    int64
-	wallUS   int64
-	err      error
-	errIdx   int
-	stop     error
-	stopIdx  int
+	wallUS int64
+	err    error
+	errIdx int
 }
 
-// parMinFrontier is the frontier size below which a level is expanded
-// inline: sharding a near-empty level costs more in goroutine handoff than
-// the expansion itself. The merge order is index-based either way, so the
-// result does not depend on which path ran.
-const parMinFrontier = 8
-
-// MeasureOpts is MeasureCtx with a parallel level-synchronous expansion:
-// each depth's frontier is sharded across workers by contiguous index
-// ranges, every worker expands its range into private buffers, and the
-// merge reassembles them in frontier-index order — so fragment insertion
-// order, float summation order and trace emission are deterministic and the
-// resulting measure is byte-identical to the sequential kernel for any
-// worker count. Sequential options (workers <= 1) route straight to
-// MeasureCtx.
-//
-// Cancellation and budgets thread through per-worker checkpoints sharing
-// the job's budget, with the sequential kernel's typed sentinels: a
-// budget-bounded stop merges the completed prefix work — an exact
-// sub-probability prefix of ε_σ — and returns it with the budget error;
-// context termination returns nil with ErrCancelled/ErrDeadline. Unlike the
-// sequential kernel, a panic inside a worker (e.g. an injected
-// transition.panic fault) surfaces as a *resilience.PanicError return
-// instead of propagating, matching engine.Pool.Map's isolation. Trace
-// events are emitted in breadth-first rather than depth-first order.
+// MeasureOpts is MeasureCtx recording into o.Stats, when set, one
+// sched.measure phase call and the depth reached. The expansion is always
+// the sequential kernel, so the result does not depend on o.Workers.
 func MeasureOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, maxDepth int, b *resilience.Budget, o Options) (*ExecMeasure, error) {
-	if !o.Parallel() || maxDepth <= 0 {
-		if o.Stats == nil {
-			return MeasureCtx(ctx, a, s, maxDepth, b)
-		}
-		t0 := time.Now()
-		em, err := MeasureCtx(ctx, a, s, maxDepth, b)
-		o.Stats.recordCall("measure", time.Since(t0).Microseconds(), 0)
-		if em != nil {
-			o.Stats.recordDepth(em.MaxLen())
-		}
-		return em, err
+	if o.Stats == nil {
+		return MeasureCtx(ctx, a, s, maxDepth, b)
 	}
-	sp := obs.Begin("sched.measure.par", s.Name())
-	defer sp.End()
-	defer obs.Time("sched.measure.par.us")()
-	if err := resilience.FireDelay(ctx, resilience.FaultSlowOp); err != nil {
-		return nil, err
+	t0 := time.Now()
+	em, err := MeasureCtx(ctx, a, s, maxDepth, b)
+	o.Stats.recordCall("measure", time.Since(t0).Microseconds(), 0)
+	if em != nil {
+		o.Stats.recordDepth(em.MaxLen())
 	}
-	workers := o.workers()
-	tr := obs.Active()
-	traced := tr.Enabled()
-	// Per-shard telemetry (and the clock reads feeding it) is collected
-	// only with a Stats collector or an enabled tracer, so undisturbed
-	// benchmarks keep the zero-instrumentation fast path.
-	collect := o.Stats != nil
-	timed := collect || traced
-	var callStart time.Time
-	if timed {
-		callStart = time.Now()
-	}
-	em := &ExecMeasure{}
-	frontier := []parItem{{psioa.NewFrag(a.Start()), 1}}
-	var steps, halts int64
-	var err, stopped error
-	lastLevel := -1
-	for lvl := 0; len(frontier) > 0 && err == nil && stopped == nil; lvl++ {
-		lastLevel = lvl
-		parts := workers
-		if len(frontier) < parMinFrontier {
-			parts = 1
-		}
-		spans := splitSpans(len(frontier), parts)
-		outs := make([]parShard, len(spans))
-		var levelStart time.Time
-		if timed {
-			levelStart = time.Now()
-		}
-		var runErr error
-		if len(spans) == 1 {
-			expandShard(ctx, a, s, maxDepth, b, frontier, 0, traced, &outs[0])
-			if timed {
-				outs[0].wallUS = time.Since(levelStart).Microseconds()
-			}
-		} else {
-			runErr = o.run(ctx, len(spans), func(i int) error {
-				var t0 time.Time
-				if timed {
-					t0 = time.Now()
-				}
-				expandShard(ctx, a, s, maxDepth, b, frontier[spans[i].lo:spans[i].hi], spans[i].lo, traced, &outs[i])
-				if timed {
-					outs[i].wallUS = time.Since(t0).Microseconds()
-				}
-				return nil
-			})
-		}
-		// Deterministic winner: the validation error or checkpoint stop
-		// with the smallest global frontier index, independent of worker
-		// count (shards partition the frontier, so indices never tie).
-		errIdx, stopIdx := -1, -1
-		for i := range outs {
-			steps += outs[i].steps
-			halts += outs[i].haltn
-			if outs[i].err != nil && (errIdx < 0 || outs[i].errIdx < errIdx) {
-				err, errIdx = outs[i].err, outs[i].errIdx
-			}
-			if outs[i].stop != nil && (stopIdx < 0 || outs[i].stopIdx < stopIdx) {
-				stopped, stopIdx = outs[i].stop, outs[i].stopIdx
-			}
-		}
-		if errIdx < 0 && runErr != nil {
-			// A panic escaped a shard (isolated into a PanicError) or the
-			// executor observed the cancelled context; treat it as an error
-			// with no partial result.
-			err, errIdx = runErr, 0
-		}
-		if errIdx >= 0 && (stopIdx < 0 || errIdx <= stopIdx) {
-			stopped = nil
-			break
-		}
-		if stopIdx >= 0 {
-			err = nil
-		}
-		// Index-ordered merge: shard outputs are concatenated in frontier
-		// order, so intern-ID assignment, halting-mass accumulation, trace
-		// emission and the next frontier all match a sequential
-		// breadth-first expansion. The merge is the single-threaded
-		// retention path, so it owns intern-ID assignment.
-		next := make([]parItem, 0, len(frontier))
-		for i := range outs {
-			for _, f := range outs[i].prefixes {
-				em.retain(f)
-			}
-			em.halts = append(em.halts, outs[i].halts...)
-			if traced {
-				for _, ev := range outs[i].events {
-					tr.Emit(ev)
-				}
-			}
-			next = append(next, outs[i].next...)
-		}
-		if collect {
-			widths := make([]int64, len(outs))
-			items := make([]int64, len(outs))
-			walls := make([]int64, len(outs))
-			for i := range outs {
-				widths[i] = int64(spans[i].hi - spans[i].lo)
-				items[i] = outs[i].steps
-				walls[i] = outs[i].wallUS
-			}
-			o.Stats.recordLevel(widths, items, walls)
-		}
-		if traced {
-			for i := range outs {
-				tr.Emit(obs.Event{Kind: obs.KindShard, Name: s.Name(),
-					Attr: fmt.Sprintf("L%d.S%d", lvl, i), N: outs[i].steps,
-					Dur: outs[i].wallUS, Parent: sp.ID()})
-			}
-		}
-		frontier = next
-	}
-	if collect {
-		o.Stats.recordCall("measure", time.Since(callStart).Microseconds(), 0)
-		o.Stats.recordDepth(lastLevel)
-	}
-	cMeasureCalls.Inc()
-	cMeasureSteps.Add(steps)
-	cMeasureHalts.Add(halts)
-	// Shards partition each level's frontier, so merged halts are distinct
-	// fragments and the halt count is exactly the support size.
-	cMeasureFrags.Add(int64(len(em.prefList)))
-	gMeasureSupport.SetMax(int64(len(em.halts)))
-	obs.H("sched.measure.support").Observe(float64(len(em.halts)))
-	if err != nil {
-		return nil, err
-	}
-	if stopped != nil {
-		if resilience.IsBudget(stopped) {
-			// Graceful degradation: every merged item was fully expanded,
-			// so the measure is an exact sub-probability prefix of ε_σ.
-			return em, stopped
-		}
-		return nil, stopped
-	}
-	return em, nil
-}
-
-// expandShard expands frontier items [base, base+len(items)) into out,
-// mirroring the sequential MeasureCtx loop body exactly: same pruning, same
-// validation errors, same (action, successor) child order, same checkpoint
-// charges. Scheduler choices and automaton transitions must be safe for
-// concurrent use (all built-in schedulers are; their choice caches are
-// read-mostly concurrent maps and their identifying fields are read-only).
-// Fragment string keys are never touched here: retention is interned, and
-// keys materialize lazily at the boundary views, whose sync.Once (reached
-// only after every level barrier) provides the happens-before for the
-// write-once key cache.
-func expandShard(ctx context.Context, a psioa.PSIOA, s Scheduler, maxDepth int, b *resilience.Budget, items []parItem, base int, traced bool, out *parShard) {
-	ck := resilience.NewCheckpoint(ctx, b)
-	for j := range items {
-		f, p := items[j].f, items[j].p
-		if p < pruneBelow {
-			continue
-		}
-		if stop := ck.Step(1, 0); stop != nil {
-			out.stop, out.stopIdx = stop, base+j
-			return
-		}
-		out.prefixes = append(out.prefixes, f)
-		choice := s.Choose(f)
-		out.steps++
-		if !choice.IsSubProb() {
-			out.err = fmt.Errorf("sched: scheduler %q returned mass %v > 1 at %v: %w", s.Name(), choice.Total(), f, ErrOverMass)
-			out.errIdx = base + j
-			return
-		}
-		if halt := choice.Deficit(); halt > pruneBelow {
-			out.halts = append(out.halts, weightedFrag{frag: f, p: p * halt})
-			out.haltn++
-			if traced {
-				out.events = append(out.events, obs.Event{Kind: obs.KindSchedHalt, Name: s.Name(), N: int64(f.Len()), V: p * halt})
-			}
-		}
-		if choice.Total() <= pruneBelow {
-			continue
-		}
-		if f.Len() >= maxDepth {
-			out.err = fmt.Errorf("sched: scheduler %q schedules past depth %d at fragment %v: %w", s.Name(), maxDepth, f, ErrDepthExceeded)
-			out.errIdx = base + j
-			return
-		}
-		lst := f.LState()
-		sig := a.Sig(lst)
-		kidStart := len(out.next)
-		acts, aps := choice.SupportAndProbs()
-		for ai, act := range acts {
-			pa := aps[ai]
-			if pa <= 0 {
-				continue
-			}
-			if !sig.Has(act) {
-				out.err = fmt.Errorf("sched: scheduler %q chose disabled action %q at %v: %w", s.Name(), act, f, ErrDisabledAction)
-				out.errIdx = base + j
-				return
-			}
-			if traced {
-				out.events = append(out.events, obs.Event{Kind: obs.KindSchedStep, Name: s.Name(), Attr: string(act), N: int64(f.Len()), V: p * pa})
-			}
-			resilience.FirePanic(resilience.FaultTransitionPanic)
-			eta := a.Trans(lst, act)
-			qs, qps := eta.SupportAndProbs()
-			for qi, q2 := range qs {
-				pq := qps[qi]
-				if pq <= 0 {
-					continue
-				}
-				out.next = append(out.next, parItem{f.Extend(act, q2), p * pa * pq})
-			}
-		}
-		if stop := ck.Step(0, int64(len(out.next)-kidStart)); stop != nil {
-			out.stop, out.stopIdx = stop, base+j
-			return
-		}
-	}
-	if stop := ck.Finish(); stop != nil {
-		out.stop, out.stopIdx = stop, base+len(items)
-	}
+	return em, err
 }
 
 // SampleImageOpts estimates the image measure of ε_σ under f from n
@@ -458,7 +169,7 @@ func SampleImageOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, stream *rn
 	if len(spans) == 1 {
 		timedRange(0)
 	} else {
-		runErr = o.run(ctx, len(spans), func(i int) error {
+		runErr = runShards(len(spans), func(i int) error {
 			timedRange(i)
 			return nil
 		})

@@ -3,9 +3,7 @@ package sched_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,38 +15,8 @@ import (
 	"repro/internal/testaut"
 )
 
-// renderMeasure renders an execution measure exhaustively — every support
-// element with its exact mass, the totals, and every cone — exactly like the
-// kernel pins in equivalence_test.go, so "byte-identical" means identical
-// renderings down to the last float bit.
-func renderMeasure(em *sched.ExecMeasure) string {
-	var b strings.Builder
-	em.ForEach(func(f *psioa.Frag, p float64) {
-		fmt.Fprintf(&b, "E %s %.17g\n", f.Key(), p)
-	})
-	fmt.Fprintf(&b, "total %.17g len %d maxlen %d\n", em.Total(), em.Len(), em.MaxLen())
-	em.ForEachPrefix(func(f *psioa.Frag) {
-		fmt.Fprintf(&b, "C %s %.17g\n", f.Key(), em.Cone(f))
-	})
-	return b.String()
-}
-
-func renderDist(d interface {
-	SortedSupport() []string
-	P(string) float64
-	Total() float64
-}) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "total %.17g\n", d.Total())
-	for _, k := range d.SortedSupport() {
-		fmt.Fprintf(&b, "S %s %.17g\n", k, d.P(k))
-	}
-	return b.String()
-}
-
 // parallelWorkloads enumerates (automaton, scheduler, depth) triples covering
-// every built-in scheduler schema over workloads whose frontiers exceed the
-// inline threshold, so the sharded path really runs.
+// every built-in scheduler schema, with wide frontiers and depth 0.
 func parallelWorkloads() []struct {
 	name     string
 	a        psioa.PSIOA
@@ -78,24 +46,24 @@ func parallelWorkloads() []struct {
 	}
 }
 
-// TestParallelMeasureByteIdentical is the tentpole property: for every
-// built-in scheduler schema, depth and worker count, the parallel kernel
-// renders byte-identically to the sequential kernel.
+// TestParallelMeasureByteIdentical: for every built-in scheduler schema,
+// depth and worker count, MeasureOpts renders byte-identically to
+// MeasureCtx — the worker count never changes the exact measure.
 func TestParallelMeasureByteIdentical(t *testing.T) {
 	for _, tc := range parallelWorkloads() {
 		want, err := sched.MeasureCtx(context.Background(), tc.a, tc.s, tc.maxDepth, nil)
 		if err != nil {
 			t.Fatalf("%s: sequential: %v", tc.name, err)
 		}
-		ref := renderMeasure(want)
+		ref := testaut.RenderMeasure(want)
 		for _, workers := range []int{1, 2, 4, 8} {
 			em, err := sched.MeasureOpts(context.Background(), tc.a, tc.s, tc.maxDepth, nil,
 				sched.Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
 			}
-			if got := renderMeasure(em); got != ref {
-				t.Errorf("%s workers=%d: parallel measure not byte-identical to sequential", tc.name, workers)
+			if got := testaut.RenderMeasure(em); got != ref {
+				t.Errorf("%s workers=%d: MeasureOpts not byte-identical to MeasureCtx", tc.name, workers)
 			}
 		}
 	}
@@ -116,7 +84,7 @@ func TestParallelSampleImageWorkerInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		got := renderDist(d)
+		got := testaut.RenderDist(d)
 		if ref == "" {
 			ref = got
 		} else if got != ref {
@@ -135,9 +103,9 @@ func TestParallelSampleImageWorkerInvariant(t *testing.T) {
 	}
 }
 
-// TestParallelMeasureBudgetPartial pins graceful degradation under
-// parallelism: a budget stop merges only completed shard work, so the
-// partial is an exact sub-probability prefix of ε_σ.
+// TestParallelMeasureBudgetPartial pins graceful degradation through
+// MeasureOpts at any worker count: a budget stop returns the work expanded
+// so far, an exact sub-probability prefix of ε_σ.
 func TestParallelMeasureBudgetPartial(t *testing.T) {
 	w := testaut.RandomWalk("w", 6, 0.5)
 	s := &sched.Greedy{A: w, Bound: 14}
@@ -205,8 +173,8 @@ func settleGoroutines(t *testing.T, base int) {
 }
 
 // TestChaosParallelMeasureCancel cancels the context from inside a scheduler
-// choice while the sharded expansion is mid-level: the kernel must return
-// the ErrCancelled sentinel with no partial measure and leak no goroutines.
+// choice mid-expansion: MeasureOpts must return the ErrCancelled sentinel
+// with no partial measure and leak no goroutines.
 func TestChaosParallelMeasureCancel(t *testing.T) {
 	w := testaut.RandomWalk("w", 6, 0.5)
 	inner := &sched.Random{A: w, Bound: 12}
@@ -214,7 +182,7 @@ func TestChaosParallelMeasureCancel(t *testing.T) {
 	defer cancel()
 	s := &sched.FuncSched{ID: "cancel-at-4", Fn: func(f *psioa.Frag) *sched.Choice {
 		if f.Len() == 4 {
-			cancel() // fired inside worker goroutines: frontier at depth 4 is 16
+			cancel() // fired mid-expansion: 16 fragments reach depth 4
 		}
 		return inner.Choose(f)
 	}}
@@ -229,49 +197,9 @@ func TestChaosParallelMeasureCancel(t *testing.T) {
 	settleGoroutines(t, base)
 }
 
-// TestChaosParallelMeasurePanic arms the transition.panic fault point once
-// the expansion is inside the sharded level: the worker panic must surface
-// as a *resilience.PanicError return — engine.Pool.Map's isolation rule —
-// instead of crashing the process, and leak no goroutines.
-func TestChaosParallelMeasurePanic(t *testing.T) {
-	w := testaut.RandomWalk("w", 6, 0.5)
-	inner := &sched.Random{A: w, Bound: 12}
-	var once sync.Once
-	var restore func()
-	defer func() {
-		if restore != nil {
-			restore()
-		}
-	}()
-	s := &sched.FuncSched{ID: "panic-at-4", Fn: func(f *psioa.Frag) *sched.Choice {
-		if f.Len() == 4 {
-			// Armed mid-level: every FirePanic call from here on runs inside
-			// a worker goroutine of the depth-4 frontier (16 items, sharded).
-			once.Do(func() {
-				restore = resilience.InstallInjector(
-					resilience.NewInjector(1).Arm(resilience.FaultTransitionPanic, 1))
-			})
-		}
-		return inner.Choose(f)
-	}}
-	base := runtime.NumGoroutine()
-	em, err := sched.MeasureOpts(context.Background(), w, s, 16, nil, sched.Options{Workers: 4})
-	var pe *resilience.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PanicError", err)
-	}
-	if resilience.Class(err) != "panic" {
-		t.Errorf("Class = %q, want panic", resilience.Class(err))
-	}
-	if em != nil {
-		t.Error("a panicking expansion must not return a measure")
-	}
-	settleGoroutines(t, base)
-}
-
-// TestParallelMeasureRace drives the same parallel expansion from several
-// goroutines at once (shared scheduler, shared automaton memos) so the race
-// detector can see the full concurrent surface.
+// TestParallelMeasureRace drives the same expansion from several goroutines
+// at once (shared scheduler, shared automaton memos) so the race detector
+// can see the full concurrent surface.
 func TestParallelMeasureRace(t *testing.T) {
 	w := testaut.RandomWalk("w", 5, 0.5)
 	s := &sched.Random{A: w, Bound: 8}

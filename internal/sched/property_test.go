@@ -11,29 +11,12 @@ import (
 	"repro/internal/testaut"
 )
 
-func randomAut(seed uint64) *psioa.Table {
-	stream := rng.New(seed)
-	return testaut.RandomAutomaton("r", testaut.RandomSpec{
-		States: 6, Actions: 4, Branch: 3, InputShare: 0.2,
-	}, stream.Uint64)
-}
-
 // TestMeasureTotalOneQuick: every bounded scheduler induces a probability
 // measure (total mass 1) — the σ-algebra fact behind Section 3.
 func TestMeasureTotalOneQuick(t *testing.T) {
 	prop := func(seed uint64, pick uint8) bool {
-		a := randomAut(seed)
-		var s sched.Scheduler
-		switch pick % 3 {
-		case 0:
-			s = &sched.Greedy{A: a, Bound: 5, LocalOnly: true}
-		case 1:
-			s = &sched.Random{A: a, Bound: 5, LocalOnly: true}
-		default:
-			s = &sched.Priority{A: a, Bound: 5, LocalOnly: true,
-				Order: []psioa.Action{"a0_r", "a1_r", "a2_r", "a3_r"}}
-		}
-		em, err := sched.Measure(a, s, 6)
+		a := testaut.RandomAut(seed)
+		em, err := sched.Measure(a, testaut.RandomSched(a, pick), 6)
 		if err != nil {
 			return false
 		}
@@ -48,7 +31,7 @@ func TestMeasureTotalOneQuick(t *testing.T) {
 // support prefix partition that prefix's cone.
 func TestConePartitionQuick(t *testing.T) {
 	prop := func(seed uint64) bool {
-		a := randomAut(seed)
+		a := testaut.RandomAut(seed)
 		s := &sched.Random{A: a, Bound: 4, LocalOnly: true}
 		em, err := sched.Measure(a, s, 5)
 		if err != nil {
@@ -79,7 +62,7 @@ func TestConePartitionQuick(t *testing.T) {
 // TestSampleMatchesExactQuick: the Monte-Carlo sampler agrees with the
 // exact measure on trace frequencies within statistical error.
 func TestSampleMatchesExactQuick(t *testing.T) {
-	a := randomAut(42)
+	a := testaut.RandomAut(42)
 	s := &sched.Random{A: a, Bound: 4, LocalOnly: true}
 	em, err := sched.Measure(a, s, 5)
 	if err != nil {
@@ -105,7 +88,7 @@ func TestSampleMatchesExactQuick(t *testing.T) {
 func TestBoundedNeverExceedsQuick(t *testing.T) {
 	prop := func(seed uint64, braw uint8) bool {
 		b := 1 + int(braw%5)
-		a := randomAut(seed)
+		a := testaut.RandomAut(seed)
 		s := &sched.Bounded{Inner: &sched.Random{A: a, Bound: 100, LocalOnly: true}, B: b}
 		em, err := sched.Measure(a, s, b+1)
 		if err != nil {

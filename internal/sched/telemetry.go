@@ -6,13 +6,16 @@ import (
 	"repro/internal/obs"
 )
 
-// Stats collects per-shard kernel telemetry for one run (typically one
-// engine job): how many frontier items each shard expanded, how wide the
-// index spans it was handed were, how long it was busy, and how long it
-// idled at level barriers waiting for slower shards. One Stats value may
-// be shared by every kernel call a job fans out to — methods are
-// mutex-guarded — and aggregates are keyed by shard index, so shard i of
-// every level and every call accumulates into one row.
+// Stats collects kernel telemetry for one run (typically one engine job):
+// per-phase calls and wall time, the deepest level reached, and per-shard
+// work rows from the kernels that shard or level their work — the
+// Monte-Carlo sampler (how many samples each shard drew, how long it was
+// busy, how long it idled waiting for slower shards) and the DAG kernel
+// (one shard per level). The tree kernel is sequential and records only
+// its phase and depth. One Stats value may be shared by every kernel call
+// a job fans out to — methods are mutex-guarded — and aggregates are keyed
+// by shard index, so shard i of every level and every call accumulates
+// into one row.
 //
 // Collection is opt-in: kernels touch the collector (and the clock) only
 // when Options.Stats is non-nil or tracing is enabled, so benchmarks with
@@ -31,11 +34,11 @@ type Stats struct {
 
 // recordLevel folds one level's shard outputs into the per-shard rows.
 // widths[i] is the index-span width handed to shard i, items[i] the
-// frontier items it expanded, wallUS[i] its busy time. A shard's barrier
-// wait at this level is the gap to the slowest shard of the level
+// samples or DAG nodes it expanded, wallUS[i] its busy time. A shard's
+// barrier wait at this level is the gap to the slowest shard of the level
 // (max wall - own wall) — the wall time lost to work imbalance, excluding
 // the single-threaded merge that follows the barrier. Called once per
-// level from the single-threaded merge.
+// level from the calling goroutine, after its shards have finished.
 func (st *Stats) recordLevel(widths, items, wallUS []int64) {
 	if st == nil {
 		return
@@ -95,7 +98,7 @@ func (st *Stats) recordCall(phase string, wallUS int64, nodes int64) {
 	st.mu.Unlock()
 }
 
-// Levels returns the number of parallel levels recorded.
+// Levels returns the number of levels recorded (sampler calls count one).
 func (st *Stats) Levels() int64 {
 	if st == nil {
 		return 0

@@ -12,16 +12,17 @@ import (
 	"repro/internal/testaut"
 )
 
-// telemetryWorkload is a frontier wide enough to exceed the inline
-// threshold, so the sharded path (and its per-shard accounting) runs.
+// telemetryWorkload is a tree with a wide frontier (2^13 executions), so
+// every kernel has real work to account.
 func telemetryWorkload() (psioa.PSIOA, sched.Scheduler, int) {
 	w := testaut.RandomWalk("w", 8, 0.5)
 	return w, &sched.Random{A: w, Bound: 13}, 16
 }
 
 // TestMeasureOptsTelemetry checks that a collector threaded through the
-// parallel measure kernel accounts for the whole expansion — and that
-// collecting changes nothing about the result.
+// tree kernel records one sched.measure call and the depth reached, that
+// the sequential tree kernel records no shard rows, and that collecting
+// changes nothing about the result.
 func TestMeasureOptsTelemetry(t *testing.T) {
 	ctx := context.Background()
 	a, s, depth := telemetryWorkload()
@@ -34,33 +35,14 @@ func TestMeasureOptsTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if renderMeasure(got) != renderMeasure(want) {
-		t.Error("telemetered parallel measure differs from sequential")
+	if testaut.RenderMeasure(got) != testaut.RenderMeasure(want) {
+		t.Error("telemetered measure differs from MeasureCtx")
 	}
-
-	if st.Levels() == 0 {
-		t.Fatal("no levels recorded")
+	if st.DepthReached() != want.MaxLen() {
+		t.Errorf("depth reached = %d, want the measure's max length %d", st.DepthReached(), want.MaxLen())
 	}
-	if st.DepthReached() == 0 {
-		t.Error("depth high-water mark not recorded")
-	}
-	shards := st.Shards()
-	if len(shards) == 0 {
-		t.Fatal("no shard rows recorded")
-	}
-	var items, width int64
-	for i, sh := range shards {
-		if sh.Shard != i {
-			t.Errorf("shard row %d carries index %d", i, sh.Shard)
-		}
-		items += sh.Items
-		width += sh.Width
-	}
-	if items == 0 {
-		t.Error("no items accounted to any shard")
-	}
-	if width < items {
-		t.Errorf("total width %d < total items %d: width is the span handed to the shard", width, items)
+	if st.Levels() != 0 || len(st.Shards()) != 0 {
+		t.Errorf("levels=%d shards=%d, want none from the sequential tree kernel", st.Levels(), len(st.Shards()))
 	}
 	phases := st.Phases()
 	if len(phases) != 1 || phases[0].Name != "sched.measure" || phases[0].Calls != 1 {
@@ -123,10 +105,15 @@ func TestDagTelemetry(t *testing.T) {
 
 // TestStatsSharedAcrossKernels is the race check: one collector shared by
 // concurrent kernel calls (the engine shares one Stats per job across every
-// pair task) must be safe under -race and lose no work.
+// pair task) must be safe under -race and lose no work. Half the calls run
+// the tree kernel and half the DAG kernel, which records per-level rows.
 func TestStatsSharedAcrossKernels(t *testing.T) {
 	ctx := context.Background()
 	a, s, depth := telemetryWorkload()
+	dob, ok := sched.AsDepthOblivious(s)
+	if !ok {
+		t.Fatal("Random must be depth-oblivious")
+	}
 	st := &sched.Stats{}
 	const calls = 8
 	var wg sync.WaitGroup
@@ -135,7 +122,12 @@ func TestStatsSharedAcrossKernels(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			_, errs[c] = sched.MeasureOpts(ctx, a, s, depth, nil, sched.Options{Workers: 2, Stats: st})
+			o := sched.Options{Workers: 2, Stats: st}
+			if c%2 == 0 {
+				_, errs[c] = sched.MeasureOpts(ctx, a, s, depth, nil, o)
+			} else {
+				_, errs[c] = sched.MeasureDAGOpts(ctx, a, dob, depth, nil, o)
+			}
 		}(c)
 	}
 	wg.Wait()
@@ -145,11 +137,12 @@ func TestStatsSharedAcrossKernels(t *testing.T) {
 		}
 	}
 	single := &sched.Stats{}
-	if _, err := sched.MeasureOpts(ctx, a, s, depth, nil, sched.Options{Workers: 2, Stats: single}); err != nil {
+	if _, err := sched.MeasureDAGOpts(ctx, a, dob, depth, nil, sched.Options{Stats: single}); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := st.Levels(), calls*single.Levels(); got != want {
-		t.Errorf("shared collector recorded %d levels, want %d (%d calls × %d)", got, want, calls, single.Levels())
+	const dagCalls = calls / 2
+	if got, want := st.Levels(), dagCalls*single.Levels(); got != want || got == 0 {
+		t.Errorf("shared collector recorded %d levels, want %d (%d DAG calls × %d)", got, want, dagCalls, single.Levels())
 	}
 	var got, want int64
 	for _, sh := range st.Shards() {
@@ -158,10 +151,12 @@ func TestStatsSharedAcrossKernels(t *testing.T) {
 	for _, sh := range single.Shards() {
 		want += sh.Items
 	}
-	if got != calls*want {
-		t.Errorf("shared collector accounted %d items, want %d", got, calls*want)
+	if got != dagCalls*want {
+		t.Errorf("shared collector accounted %d items, want %d", got, dagCalls*want)
 	}
-	if len(st.Phases()) != 1 || st.Phases()[0].Calls != calls {
-		t.Errorf("phases = %+v, want one sched.measure row with %d calls", st.Phases(), calls)
+	phases := st.Phases()
+	if len(phases) != 2 || phases[0].Name != "sched.measure" || phases[0].Calls != calls-dagCalls ||
+		phases[1].Name != "sched.measure.dag" || phases[1].Calls != dagCalls {
+		t.Errorf("phases = %+v, want %d sched.measure and %d sched.measure.dag calls", phases, calls-dagCalls, dagCalls)
 	}
 }

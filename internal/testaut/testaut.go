@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/measure"
 	"repro/internal/psioa"
+	"repro/internal/rng"
 )
 
 // Coin returns a one-shot coin automaton with the given bias:
@@ -253,4 +254,13 @@ func RandomAutomaton(id string, spec RandomSpec, next func() uint64) *psioa.Tabl
 		}
 	}
 	return b.MustBuild()
+}
+
+// RandomAut is the small random automaton the property tests draw from one
+// seed: RandomAutomaton "r" with six states, four actions, transition
+// supports of up to three states and about a fifth of the actions inputs.
+func RandomAut(seed uint64) *psioa.Table {
+	return RandomAutomaton("r", RandomSpec{
+		States: 6, Actions: 4, Branch: 3, InputShare: 0.2,
+	}, rng.New(seed).Uint64)
 }

@@ -1,8 +1,9 @@
 #!/bin/sh
 # obs_smoke.sh — end-to-end smoke test of the telemetry-v2 surface:
 #
-#   1. dsecheck -explain -trace: the run report must print per-shard work
-#      counts and the cache hit ratio, and every JSONL trace event must
+#   1. dsecheck -explain -trace: the run report must print the tree
+#      kernel's sched.measure phase row and the cache hit ratio, and every
+#      JSONL trace event must
 #      carry a kind from the documented event-kind table
 #      (docs/OBSERVABILITY.md).
 #   2. dsed: /v1/metrics?format=prom must pass scripts/prom_check.sh and
@@ -20,7 +21,7 @@ go build -o "$TMP/dsecheck" ./cmd/dsecheck
 "$TMP/dsecheck" -left coin:biased:x:0.625 -right coin:fair:x -env coin:env:x \
     -eps 0.125 -q1 3 -workers 4 -explain -trace "$TMP/trace.jsonl" > "$TMP/explain.out"
 
-for frag in 'run report (check)' 'hit-ratio=' 'shard 0' 'states'; do
+for frag in 'run report (check)' 'hit-ratio=' 'sched\.measure  *calls=' 'states'; do
     grep -q "$frag" "$TMP/explain.out" || {
         echo "obs-smoke: -explain output missing '$frag':" >&2
         cat "$TMP/explain.out" >&2
